@@ -48,6 +48,13 @@ class DiGraph:
         self._succ[src].add(dst)
         self._pred[dst].add(src)
 
+    def remove_edge(self, src: Hashable, dst: Hashable) -> None:
+        """Remove edge ``src -> dst``; its endpoints stay."""
+        if not self.has_edge(src, dst):
+            raise GraphError(f"unknown edge {src!r} -> {dst!r}")
+        self._succ[src].discard(dst)
+        self._pred[dst].discard(src)
+
     def remove_node(self, node: Hashable) -> None:
         """Remove ``node`` and all incident edges."""
         if node not in self._succ:
@@ -174,18 +181,20 @@ def topological_sort(graph: DiGraph) -> list[Hashable]:
 
     The returned order is deterministic for a given insertion order.
     """
-    in_deg = {n: graph.in_degree(n) for n in graph}
-    ready = deque(n for n in graph if in_deg[n] == 0)
+    succ_of = graph._succ
+    in_deg = {n: len(preds) for n, preds in graph._pred.items()}
+    ready = deque(n for n, deg in in_deg.items() if deg == 0)
     order: list[Hashable] = []
     while ready:
         node = ready.popleft()
         order.append(node)
-        for succ in sorted(graph.successors(node), key=repr):
+        for succ in sorted(succ_of[node], key=repr):
             in_deg[succ] -= 1
             if in_deg[succ] == 0:
                 ready.append(succ)
     if len(order) != len(graph):
-        remaining = [n for n in graph if n not in set(order)]
+        placed = set(order)
+        remaining = [n for n in graph if n not in placed]
         cycle = _find_cycle(graph, remaining)
         raise CycleError([repr(n) for n in cycle])
     return order

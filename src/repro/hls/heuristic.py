@@ -11,10 +11,12 @@ indeterminate operations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..devices.device import GeneralDevice
 from ..errors import SchedulingError, SpecificationError
+from ..operations.operation import Operation
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
 from .schedule import LayerSchedule, OpPlacement
@@ -75,6 +77,38 @@ def schedule_layer_greedy(
 
     pending: set[str] = {op.uid for op in problem.ops}
 
+    # Binding legality depends only on the device and the op's requirement
+    # signature (under COVER and EXACT alike), so it is decided once per
+    # (device, signature) pair, against one representative op.
+    sig_of = {op.uid: op.requirement_signature() for op in problem.ops}
+    sig_op: dict[tuple, Operation] = {}
+    for op in problem.ops:
+        sig_op.setdefault(sig_of[op.uid], op)
+    fit: dict[tuple[str, tuple], bool] = {}
+
+    def fits(dev_uid: str, sig: tuple) -> bool:
+        ok = fit.get((dev_uid, sig))
+        if ok is None:
+            ok = fit[dev_uid, sig] = timelines[dev_uid].device.can_execute(
+                sig_op[sig], mode
+            )
+        return ok
+
+    # Signature -> devices able to run it, in ``timelines`` order; filled
+    # on first use and extended by create_device.
+    fitting: dict[tuple, list[str]] = {}
+
+    def fitting_devices(sig: tuple) -> list[str]:
+        devices = fitting.get(sig)
+        if devices is None:
+            devices = fitting[sig] = [d for d in timelines if fits(d, sig)]
+        return devices
+
+    pending_fixed = Counter(
+        sig_of[op.uid] for op in problem.ops if not op.is_indeterminate
+    )
+    ind_uids = sorted(op.uid for op in problem.ops if op.is_indeterminate)
+
     def slots_reserved(exclude_uid: str = "") -> int:
         """Slots that must stay available for still-unscheduled operations.
 
@@ -83,32 +117,31 @@ def schedule_layer_greedy(
         that cannot be matched to a *distinct* compatible device (the
         indeterminate tail needs pairwise-different devices).
         """
-        devices = [t.device for t in timelines.values()]
-        uncovered_sigs: set[tuple] = set()
-        for uid in pending:
-            op = by_uid[uid]
-            if uid == exclude_uid or op.is_indeterminate:
-                continue
-            if not any(d.can_execute(op, mode) for d in devices):
-                uncovered_sigs.add(op.requirement_signature())
+        excluded_sig = (
+            sig_of[exclude_uid]
+            if exclude_uid in pending and not by_uid[exclude_uid].is_indeterminate
+            else None
+        )
+        uncovered = 0
+        for sig, count in pending_fixed.items():
+            if sig == excluded_sig:
+                count -= 1
+            if count > 0 and not fitting_devices(sig):
+                uncovered += 1
         matched: set[str] = set()
         unmatched_ind = 0
-        for uid in sorted(u for u in pending if by_uid[u].is_indeterminate):
-            if uid == exclude_uid:
+        for uid in ind_uids:
+            if uid == exclude_uid or uid not in pending:
                 continue
-            op = by_uid[uid]
             choice = next(
-                (
-                    d.uid for d in devices
-                    if d.uid not in matched and d.can_execute(op, mode)
-                ),
+                (d for d in fitting_devices(sig_of[uid]) if d not in matched),
                 None,
             )
             if choice is None:
                 unmatched_ind += 1
             else:
                 matched.add(choice)
-        return len(uncovered_sigs) + unmatched_ind
+        return uncovered + unmatched_ind
 
     # Storage pressure (extension): ops with layer-crossing edges prefer
     # the fixed device already holding (or later consuming) their reagent,
@@ -127,15 +160,13 @@ def schedule_layer_greedy(
     ) -> tuple[int, str] | None:
         """Pressured device whose extra wait costs less than the storage
         it avoids (``C_t * delay <= pressure``), earliest-start first."""
-        op = by_uid[uid]
         best_pref: tuple[int, str] | None = None
         for dev_uid, weight in sorted(pressure[uid].items()):
             if dev_uid in exclude or dev_uid not in timelines:
                 continue
-            timeline = timelines[dev_uid]
-            if not timeline.device.can_execute(op, mode):
+            if not fits(dev_uid, sig_of[uid]):
                 continue
-            start = timeline.earliest_fit(ready, occupancy(uid))
+            start = timelines[dev_uid].earliest_fit(ready, occupancy(uid))
             if spec.weights.time * (start - ready) > weight:
                 continue
             if best_pref is None or (start, dev_uid) < best_pref:
@@ -180,6 +211,9 @@ def schedule_layer_greedy(
             device = GeneralDevice.for_operation(uid_allocator(), op, mode)
         timelines[device.uid] = _Timeline(device)
         new_devices.append(device)
+        for sig, devices in fitting.items():
+            if fits(device.uid, sig):
+                devices.append(device.uid)
         slots_left -= 1
         if slot is not None:
             slot_uid[slot] = device.uid
@@ -205,10 +239,9 @@ def schedule_layer_greedy(
             return None
         if target is None or target in exclude:
             return None
-        timeline = timelines[target]
-        if not timeline.device.can_execute(op, mode):
+        if not fits(target, sig_of[uid]):
             return None
-        return target, timeline.earliest_fit(ready, occupancy(uid))
+        return target, timelines[target].earliest_fit(ready, occupancy(uid))
 
     def acquire_device(uid: str, ready: int, exclude: set[str]) -> tuple[str, int]:
         """Choose a device and start time; creates a device if needed.
@@ -219,12 +252,10 @@ def schedule_layer_greedy(
         """
         op = by_uid[uid]
         best: tuple[int, str] | None = None
-        for dev_uid, timeline in timelines.items():
+        for dev_uid in fitting_devices(sig_of[uid]):
             if dev_uid in exclude:
                 continue
-            if not timeline.device.can_execute(op, mode):
-                continue
-            start = timeline.earliest_fit(ready, occupancy(uid))
+            start = timelines[dev_uid].earliest_fit(ready, occupancy(uid))
             if best is None or (start, dev_uid) < best:
                 best = (start, dev_uid)
         if guide is not None:
@@ -277,6 +308,7 @@ def schedule_layer_greedy(
         binding[uid] = dev_uid
         finish[uid] = start + op.duration.scheduled
         pending.discard(uid)
+        pending_fixed[sig_of[uid]] -= 1
         schedule.place(
             OpPlacement(uid, dev_uid, start, op.duration.scheduled, False)
         )
@@ -296,9 +328,7 @@ def schedule_layer_greedy(
             if other.uid == current_uid or other.uid not in pending:
                 continue
             options = [
-                t.device.uid for t in timelines.values()
-                if t.device.uid not in taken
-                and t.device.can_execute(other, mode)
+                d for d in fitting_devices(sig_of[other.uid]) if d not in taken
             ]
             if len(options) == 1:
                 reserved.add(options[0])

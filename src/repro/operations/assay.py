@@ -31,6 +31,9 @@ class Assay:
         self.name = name
         self._ops: dict[str, Operation] = {}
         self._graph = DiGraph()
+        # Derived views, rebuilt lazily after a mutation (see _mutated).
+        self._order: list[str] | None = None
+        self._edges: list[tuple[str, str]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -42,16 +45,32 @@ class Assay:
             )
         self._ops[operation.uid] = operation
         self._graph.add_node(operation.uid)
+        self._mutated()
         return operation
 
     def add_dependency(self, parent_uid: str, child_uid: str) -> None:
-        """Record that ``child`` consumes the outputs of ``parent``."""
+        """Record that ``child`` consumes the outputs of ``parent``.
+
+        Raises :class:`~repro.errors.CycleError` when the edge would close
+        a cycle; the assay is left exactly as it was.
+        """
         for uid in (parent_uid, child_uid):
             if uid not in self._ops:
                 raise SpecificationError(f"unknown operation {uid!r}")
+        if parent_uid in self._graph.descendants(child_uid):
+            # Fail fast so errors point at the edge that closed a cycle: the
+            # full sort names it, then the edge is rolled back.
+            self._graph.add_edge(parent_uid, child_uid)
+            try:
+                topological_sort(self._graph)
+            finally:
+                self._graph.remove_edge(parent_uid, child_uid)
         self._graph.add_edge(parent_uid, child_uid)
-        # Fail fast on cycles so errors point at the edge that closed one.
-        topological_sort(self._graph)
+        self._mutated()
+
+    def _mutated(self) -> None:
+        self._order = None
+        self._edges = None
 
     # -- access -------------------------------------------------------------
 
@@ -83,7 +102,9 @@ class Assay:
     @property
     def edges(self) -> list[tuple[str, str]]:
         """All (parent, child) dependency pairs."""
-        return self._graph.edges
+        if self._edges is None:
+            self._edges = self._graph.edges
+        return list(self._edges)
 
     @property
     def graph(self) -> DiGraph:
@@ -103,7 +124,9 @@ class Assay:
         return self._graph.descendants(uid)
 
     def topological_order(self) -> list[str]:
-        return topological_sort(self._graph)
+        if self._order is None:
+            self._order = topological_sort(self._graph)
+        return list(self._order)
 
     @property
     def indeterminate_uids(self) -> list[str]:
@@ -122,7 +145,7 @@ class Assay:
 
     def validate(self) -> None:
         """Check structural invariants; raises on violation."""
-        topological_sort(self._graph)  # acyclicity
+        self.topological_order()  # acyclicity
         for uid in self._ops:
             if uid not in self._graph:
                 raise SpecificationError(f"operation {uid!r} missing from graph")
@@ -137,6 +160,7 @@ class Assay:
         if copies < 1:
             raise SpecificationError(f"copies must be >= 1, got {copies}")
         out = Assay(f"{self.name}x{copies}")
+        edges = self.edges
         for k in range(copies):
             for op in self._ops.values():
                 clone = Operation(
@@ -148,7 +172,7 @@ class Assay:
                     function=op.function,
                 )
                 out.add(clone)
-            for parent, child in self._graph.edges:
+            for parent, child in edges:
                 out.add_dependency(f"{parent}{separator}{k}", f"{child}{separator}{k}")
         return out
 
@@ -159,7 +183,7 @@ class Assay:
         for uid in keep:
             sub.add(self[uid])
         keep_set = set(keep)
-        for parent, child in self._graph.edges:
+        for parent, child in self.edges:
             if parent in keep_set and child in keep_set:
                 sub.add_dependency(parent, child)
         return sub
@@ -167,6 +191,6 @@ class Assay:
     def __repr__(self) -> str:
         return (
             f"Assay({self.name!r}, ops={len(self._ops)}, "
-            f"edges={len(self._graph.edges)}, "
+            f"edges={len(self.edges)}, "
             f"indeterminate={self.num_indeterminate})"
         )

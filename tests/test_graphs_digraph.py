@@ -91,6 +91,16 @@ class TestQueries:
         g = chain("a", "b")
         assert g.edges == [("a", "b")]
 
+    def test_remove_edge_keeps_endpoints(self):
+        g = chain("a", "b", "c")
+        g.remove_edge("a", "b")
+        assert g.edges == [("b", "c")]
+        assert "a" in g and g.predecessors("b") == set()
+
+    def test_remove_unknown_edge(self):
+        with pytest.raises(GraphError):
+            chain("a", "b").remove_edge("b", "a")
+
 
 class TestTopologicalSort:
     def test_chain_order(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.components import Capacity, ContainerKind
-from repro.errors import CycleError, SpecificationError
+from repro.errors import CycleError, GraphError, SpecificationError
 from repro.operations import (
     Assay,
     AssayBuilder,
@@ -126,6 +126,67 @@ class TestAssay:
         a = self.build()
         with pytest.raises(CycleError):
             a.add_dependency("c", "p")
+
+    def test_rejected_cycle_edge_is_rolled_back(self):
+        a = self.build()
+        a.add(Operation("g", Fixed(1)))
+        a.add_dependency("c", "g")
+        edges = sorted(a.edges)
+        with pytest.raises(CycleError) as excinfo:
+            a.add_dependency("g", "p")
+        assert str(excinfo.value) == (
+            "dependency cycle detected: 'p' -> 'c' -> 'g' -> 'p'"
+        )
+        assert sorted(a.edges) == edges
+        assert a.topological_order() == ["p", "c", "g"]
+        a.validate()
+        a.add(Operation("h", Fixed(1)))
+        a.add_dependency("p", "h")
+        assert a.children("p") == ["c", "h"]
+
+    def test_self_dependency_rejected(self):
+        a = self.build()
+        with pytest.raises(GraphError):
+            a.add_dependency("p", "p")
+        assert a.edges == [("p", "c")]
+
+    def test_cached_views_are_fresh_copies(self):
+        a = self.build()
+        a.topological_order().clear()
+        a.edges.clear()
+        assert a.topological_order() == ["p", "c"]
+        assert a.edges == [("p", "c")]
+
+    def test_mutation_invalidates_cached_views(self):
+        a = self.build()
+        assert a.topological_order() == ["p", "c"]
+        a.add(Operation("g", Fixed(1)))
+        assert a.topological_order() == ["p", "g", "c"]
+        a.add_dependency("g", "p")
+        assert a.topological_order() == ["g", "p", "c"]
+        assert sorted(a.edges) == [("g", "p"), ("p", "c")]
+
+    def test_parse_sorts_a_constant_number_of_times(self, monkeypatch):
+        # Complexity guard: building an assay must not re-sort the graph
+        # per edge.  Counting calls keeps the check independent of timing.
+        import repro.operations.assay as assay_module
+        from repro.assays import random_assay
+        from repro.io import assay_from_json, assay_to_json
+
+        data = assay_to_json(random_assay(1000, seed=1, edge_probability=0.01))
+        assert len(data["dependencies"]) > 1000
+        calls = []
+        real_sort = assay_module.topological_sort
+
+        def counting_sort(graph):
+            calls.append(len(graph))
+            return real_sort(graph)
+
+        monkeypatch.setattr(assay_module, "topological_sort", counting_sort)
+        parsed = assay_from_json(data)
+        parsed.topological_order()
+        parsed.edges
+        assert calls == [1000]
 
     def test_ancestors_descendants(self):
         a = self.build()
