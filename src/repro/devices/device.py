@@ -78,6 +78,23 @@ class GeneralDevice:
             return self.matches_exactly(op)
         return self.covers(op)
 
+    def binding_key(self, mode: BindingMode = BindingMode.COVER):
+        """Index key for :meth:`can_execute`: a device can only execute
+        ``op`` under ``mode`` when ``binding_key(mode)`` equals
+        ``GeneralDevice.op_binding_key(op, mode)``.
+
+        COVER requires the same capacity class; EXACT requires equal
+        signatures (which include the capacity).
+        """
+        return self.signature if mode is BindingMode.EXACT else self.capacity
+
+    @staticmethod
+    def op_binding_key(op: Operation, mode: BindingMode = BindingMode.COVER):
+        """The :meth:`binding_key` a device needs to execute ``op``."""
+        if mode is BindingMode.EXACT:
+            return op.requirement_signature()
+        return op.capacity
+
     # -- costs --------------------------------------------------------------
 
     def area(self, costs: CostModel) -> float:

@@ -166,6 +166,31 @@ def fingerprint_run(
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
+def _ref_order(item: tuple) -> tuple:
+    """Total sort key for token tuples holding canonical device references.
+
+    A reference is an int (fixed-device position) or, for an unknown uid,
+    the raw string; ints order first.  Agrees with the natural tuple order
+    wherever that is defined.
+    """
+    return tuple((isinstance(x, str), x) for x in item)
+
+
+def _sorted_token(items) -> tuple:
+    """``items`` sorted, as a tuple.
+
+    Well-formed problems only hold int references, so their tokens sort
+    naturally and keep their bytes.  Where an unknown uid's string meets
+    an int at one tuple position the natural comparison fails; those
+    tokens sort by :func:`_ref_order` instead.
+    """
+    items = list(items)
+    try:
+        return tuple(sorted(items))
+    except TypeError:
+        return tuple(sorted(items, key=_ref_order))
+
+
 def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str:
     """Canonical fingerprint of one layer solve's complete input.
 
@@ -178,11 +203,18 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
     between passes does not break matching.
     """
     canon = {d.uid: i for i, d in enumerate(problem.fixed_devices)}
+    # A path's two ends are ordered by the reprs of their references.
+    canon_repr = {uid: (i, repr(i)) for uid, i in canon.items()}
 
     def canon_uid(uid: str):
         # Unknown uids (never the case for well-formed problems) degrade to
         # the raw string: correct, merely less shareable.
         return canon.get(uid, uid)
+
+    def canon_path(a: str, b: str) -> tuple:
+        ref_a, repr_a = canon_repr.get(a) or (a, repr(a))
+        ref_b, repr_b = canon_repr.get(b) or (b, repr(b))
+        return (ref_a, ref_b) if repr_a <= repr_b else (ref_b, ref_a)
 
     ops_token = tuple(
         (
@@ -201,30 +233,23 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
     )
     release_token = tuple(sorted(problem.release.items()))
     devices_token = tuple(_device_token(d) for d in problem.fixed_devices)
-    incoming_token = tuple(
-        sorted((canon_uid(parent), child) for parent, child in problem.incoming)
+    incoming_token = _sorted_token(
+        (canon_uid(parent), child) for parent, child in problem.incoming
     )
-    outgoing_token = tuple(
-        sorted((parent, canon_uid(child)) for parent, child in problem.outgoing)
+    outgoing_token = _sorted_token(
+        (parent, canon_uid(child)) for parent, child in problem.outgoing
     )
-    paths_token = tuple(
-        sorted(
-            tuple(sorted((canon_uid(a), canon_uid(b)), key=repr))
-            for a, b in problem.existing_paths
-        )
+    paths_token = _sorted_token(
+        canon_path(a, b) for a, b in problem.existing_paths
     )
     storage_token = (
-        tuple(
-            sorted(
-                (canon_uid(dev), child, weight)
-                for (dev, child), weight in problem.storage_in.items()
-            )
+        _sorted_token(
+            (canon_uid(dev), child, weight)
+            for (dev, child), weight in problem.storage_in.items()
         ),
-        tuple(
-            sorted(
-                (parent, canon_uid(dev), weight)
-                for (parent, dev), weight in problem.storage_out.items()
-            )
+        _sorted_token(
+            (parent, canon_uid(dev), weight)
+            for (parent, dev), weight in problem.storage_out.items()
         ),
     )
     payload = (
@@ -509,10 +534,24 @@ class LayerSolveCache:
             del self._entries[oldest]
             self.evictions += 1
 
+    @staticmethod
+    def key(problem: LayerProblem, spec: SynthesisSpec) -> str:
+        """The cache key of ``problem`` (its canonical fingerprint).
+
+        :meth:`lookup` and :meth:`store` accept it precomputed, so a miss
+        followed by a store fingerprints the problem once.
+        """
+        return fingerprint_layer_problem(problem, spec)
+
     def store(
-        self, problem: LayerProblem, spec: SynthesisSpec, result: LayerSolveResult
+        self,
+        problem: LayerProblem,
+        spec: SynthesisSpec,
+        result: LayerSolveResult,
+        key: str | None = None,
     ) -> None:
-        """Record ``result`` under ``problem``'s fingerprint.
+        """Record ``result`` under ``problem``'s fingerprint (``key``, when
+        the caller already computed it with :meth:`key`).
 
         Results that reference devices outside the problem (never produced
         by a well-formed solve) are silently not cached.
@@ -520,11 +559,11 @@ class LayerSolveCache:
         entry = encode_layer_result(problem, result)
         if entry is None:
             return
-        self._insert(fingerprint_layer_problem(problem, spec), entry)
+        self._insert(key or self.key(problem, spec), entry)
 
     def contains(self, problem: LayerProblem, spec: SynthesisSpec) -> bool:
         """Whether a replay would hit, without touching the counters."""
-        return fingerprint_layer_problem(problem, spec) in self._entries
+        return self.key(problem, spec) in self._entries
 
     def entry(
         self, problem: LayerProblem, spec: SynthesisSpec
@@ -536,18 +575,23 @@ class LayerSolveCache:
         sequential driver would perform (and to skip dispatching a worker
         for it).
         """
-        return self._entries.get(fingerprint_layer_problem(problem, spec))
+        return self._entries.get(self.key(problem, spec))
 
     def lookup(
-        self, problem: LayerProblem, spec: SynthesisSpec, allocate_uid
+        self,
+        problem: LayerProblem,
+        spec: SynthesisSpec,
+        allocate_uid,
+        key: str | None = None,
     ) -> LayerSolveResult | None:
         """Replay a cached result into the current pass, if one matches.
 
-        New devices are materialized with fresh uids from ``allocate_uid``;
+        ``key`` is ``problem``'s :meth:`key`, when already computed.  New
+        devices are materialized with fresh uids from ``allocate_uid``;
         fixed-device references resolve to the problem's current inventory.
         """
         started = time.monotonic()
-        key = fingerprint_layer_problem(problem, spec)
+        key = key or self.key(problem, spec)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1

@@ -11,6 +11,7 @@ indeterminate operations.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .spec import SynthesisSpec
 
 @dataclass
 class _Timeline:
-    """Busy intervals of one device within the layer."""
+    """Busy intervals of one device within the layer, kept sorted."""
 
     device: GeneralDevice
     busy: list[tuple[int, int]] = field(default_factory=list)
@@ -33,7 +34,7 @@ class _Timeline:
     def earliest_fit(self, ready: int, length: int) -> int:
         """Earliest start >= ready such that [start, start+length) is free."""
         start = ready
-        for lo, hi in sorted(self.busy):
+        for lo, hi in self.busy:
             if start + length <= lo:
                 break
             if start < hi:
@@ -41,7 +42,7 @@ class _Timeline:
         return start
 
     def reserve(self, start: int, length: int) -> None:
-        self.busy.append((start, start + length))
+        insort(self.busy, (start, start + length))
 
 
 def schedule_layer_greedy(
@@ -94,6 +95,17 @@ def schedule_layer_greedy(
             )
         return ok
 
+    # A device can only run ops of its own binding key (capacity class
+    # under COVER, signature under EXACT), so devices are bucketed by that
+    # key, each bucket in ``timelines`` order, and a signature scans only
+    # its key's bucket.
+    buckets: dict[object, list[str]] = {}
+    for dev_uid, timeline in timelines.items():
+        buckets.setdefault(timeline.device.binding_key(mode), []).append(dev_uid)
+    key_of = {
+        sig: GeneralDevice.op_binding_key(op, mode) for sig, op in sig_op.items()
+    }
+
     # Signature -> devices able to run it, in ``timelines`` order; filled
     # on first use and extended by create_device.
     fitting: dict[tuple, list[str]] = {}
@@ -101,7 +113,9 @@ def schedule_layer_greedy(
     def fitting_devices(sig: tuple) -> list[str]:
         devices = fitting.get(sig)
         if devices is None:
-            devices = fitting[sig] = [d for d in timelines if fits(d, sig)]
+            devices = fitting[sig] = [
+                d for d in buckets.get(key_of[sig], ()) if fits(d, sig)
+            ]
         return devices
 
     pending_fixed = Counter(
@@ -211,8 +225,10 @@ def schedule_layer_greedy(
             device = GeneralDevice.for_operation(uid_allocator(), op, mode)
         timelines[device.uid] = _Timeline(device)
         new_devices.append(device)
+        key = device.binding_key(mode)
+        buckets.setdefault(key, []).append(device.uid)
         for sig, devices in fitting.items():
-            if fits(device.uid, sig):
+            if key_of[sig] == key and fits(device.uid, sig):
                 devices.append(device.uid)
         slots_left -= 1
         if slot is not None:

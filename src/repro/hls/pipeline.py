@@ -282,7 +282,8 @@ class LayerSolveStage:
         sessions: "SessionPool | None" = None,
     ) -> LayerSolveResult:
         if cache is not None:
-            replayed = cache.lookup(problem, spec, allocate_uid)
+            key = cache.key(problem, spec)
+            replayed = cache.lookup(problem, spec, allocate_uid, key=key)
             if replayed is not None:
                 return replayed
         result = None
@@ -294,7 +295,7 @@ class LayerSolveStage:
                 problem, spec, allocate_uid, warm_from, sessions=sessions
             )
         if cache is not None:
-            cache.store(problem, spec, result)
+            cache.store(problem, spec, result, key=key)
         return result
 
 

@@ -57,8 +57,20 @@ def eviction_cost(
     """
     if target not in layer_uids:
         raise LayeringError(f"{target!r} is not in the layer")
+    return _min_cut_cost(
+        graph, target, frozenset(graph.ancestors(target) & layer_uids)
+    )
 
-    in_layer_ancestors = graph.ancestors(target) & layer_uids
+
+def _min_cut_cost(
+    graph: DiGraph, target: str, in_layer_ancestors: frozenset[str]
+) -> EvictionCost:
+    """:func:`eviction_cost` given ``target``'s in-layer ancestors.
+
+    The layer enters the cost only through that ancestor set, and the
+    minimal sink side of a min cut is unique, so the result is a pure
+    function of ``(target, in_layer_ancestors)``.
+    """
     network = FlowNetwork()
     network.add_node(_VIRTUAL_SOURCE)
     network.add_node(target)
@@ -122,10 +134,21 @@ def resource_based_allocation(
     evicted: set[str] = set()
     # Cheapest-first greedy (paper: evict the op with least reagent
     # inheritance first), re-priced after every eviction since earlier
-    # removals change the remaining structure.
+    # removals change the remaining structure.  An eviction only changes
+    # the price of an op whose in-layer ancestors it removed, so prices are
+    # memoized on (op, in-layer ancestors): one min cut per distinct cut.
+    ancestors = {uid: graph.ancestors(uid) for uid in remaining_ind}
+    priced: dict[tuple[str, frozenset[str]], EvictionCost] = {}
+
+    def price(uid: str) -> EvictionCost:
+        key = (uid, frozenset(ancestors[uid] & kept))
+        cost = priced.get(key)
+        if cost is None:
+            cost = priced[key] = _min_cut_cost(graph, uid, key[1])
+        return cost
+
     while len(remaining_ind) > threshold:
-        costs = [eviction_cost(kept, graph, uid) for uid in remaining_ind]
-        best = min(costs, key=lambda c: c.sort_key)
+        best = min(map(price, remaining_ind), key=lambda c: c.sort_key)
         removed = _dependency_closure(set(best.removed), kept, graph)
         kept_after = kept - removed
         ind_after = [u for u in remaining_ind if u not in removed]
@@ -154,11 +177,10 @@ def _dependency_closure(
 ) -> set[str]:
     """Close ``removed`` under in-layer dependents: an operation whose
     ancestor leaves the layer must leave too."""
-    changed = True
-    while changed:
-        changed = False
-        for uid in sorted(layer_uids - removed):
-            if graph.predecessors(uid) & removed:
-                removed.add(uid)
-                changed = True
+    stack = list(removed)
+    while stack:
+        for child in graph.successors(stack.pop()):
+            if child in layer_uids and child not in removed:
+                removed.add(child)
+                stack.append(child)
     return removed

@@ -1,8 +1,11 @@
 """Tests for repro.devices (general devices + inventory)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.components import Capacity, ContainerKind
+from repro.components.containers import kinds_for_capacity
 from repro.components.costs import default_cost_model
 from repro.devices import BindingMode, DeviceInventory, GeneralDevice
 from repro.errors import SpecificationError
@@ -147,3 +150,67 @@ class TestDeviceInventory:
         clone = inv.copy()
         clone.add(mixer("b"), 0)
         assert "b" not in inv
+
+
+ACCESSORIES = ("pump", "sieve_valve", "cell_trap", "optical_system")
+
+
+@st.composite
+def operations(draw):
+    capacity = draw(st.sampled_from(list(Capacity)))
+    return Operation(
+        "op",
+        Fixed(1),
+        capacity=capacity,
+        container=draw(
+            st.sampled_from((None,) + kinds_for_capacity(capacity))
+        ),
+        accessories=draw(st.frozensets(st.sampled_from(ACCESSORIES))),
+    )
+
+
+@st.composite
+def devices(draw, ops):
+    """Any legal device, often shaped after one of ``ops``; its EXACT
+    signature is unset or its template op's."""
+    template = draw(st.one_of(st.sampled_from(ops), operations()))
+    return GeneralDevice(
+        "d",
+        draw(st.sampled_from(kinds_for_capacity(template.capacity))),
+        template.capacity,
+        draw(
+            st.one_of(
+                st.just(template.accessories),
+                st.frozensets(st.sampled_from(ACCESSORIES)),
+            )
+        ),
+        signature=draw(
+            st.sampled_from((None, template.requirement_signature()))
+        ),
+    )
+
+
+@st.composite
+def binding_cases(draw):
+    ops = draw(st.lists(operations(), min_size=1, max_size=6))
+    devs = draw(st.lists(devices(ops), max_size=12))
+    return ops, devs, draw(st.sampled_from(list(BindingMode)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binding_cases())
+def test_binding_key_indexes_can_execute(case):
+    """Scanning only the op's binding-key bucket finds exactly the devices
+    a full scan finds, in the same order."""
+    ops, devs, mode = case
+    buckets: dict[object, list[int]] = {}
+    for i, device in enumerate(devs):
+        buckets.setdefault(device.binding_key(mode), []).append(i)
+    for op in ops:
+        key = GeneralDevice.op_binding_key(op, mode)
+        full = [i for i, d in enumerate(devs) if d.can_execute(op, mode)]
+        assert all(devs[i].binding_key(mode) == key for i in full)
+        bucketed = [
+            i for i in buckets.get(key, ()) if devs[i].can_execute(op, mode)
+        ]
+        assert bucketed == full

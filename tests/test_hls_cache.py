@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,37 @@ class TestFingerprint:
         assert fingerprint_layer_problem(
             problem, spec
         ) != fingerprint_layer_problem(problem, other)
+
+
+    @pytest.mark.parametrize(
+        "field",
+        ["incoming", "outgoing", "existing_paths", "storage_in", "storage_out"],
+    )
+    def test_unknown_device_uids_degrade_to_raw_strings(self, field):
+        from repro.components import Capacity, ContainerKind
+        from repro.devices import GeneralDevice
+
+        spec = self.spec()
+
+        def problem(prefix):
+            known, other = f"{prefix}0", f"{prefix}1"
+            fixed = [
+                GeneralDevice(uid, ContainerKind.CHAMBER, Capacity.SMALL)
+                for uid in (known, other)
+            ]
+            value = {
+                "incoming": [(known, "a"), ("ghost", "b")],
+                "outgoing": [("a", known), ("a", "ghost")],
+                "existing_paths": {(known, other), (known, "ghost")},
+                "storage_in": {(known, "a"): 1.0, ("ghost", "b"): 2.0},
+                "storage_out": {("a", known): 1.0, ("a", "ghost"): 2.0},
+            }[field]
+            base = first_layer_problem(self.assay(), spec, fixed_devices=fixed)
+            return dataclasses.replace(base, **{field: value})
+
+        key = fingerprint_layer_problem(problem("k"), spec)
+        # Known devices still canonicalize next to an unknown one.
+        assert key == fingerprint_layer_problem(problem("renamed"), spec)
 
 
 class TestReplay:
