@@ -34,13 +34,9 @@ BASE = SynthesisSpec(
 VARIANTS = {
     # One-shot solve(model) calls: no sessions, eager conflict rows, warm
     # starts ignored by the HiGHS wrapper — the stack before the refactor.
-    "oneshot": dict(
-        enable_solver_sessions=False, conflict_mode="eager", warm_cutoff=False
-    ),
+    "oneshot": dict(enable_solver_sessions=False, warm_cutoff=False),
     # Session pool + delta encoding + warm-start objective cutoff.
-    "incremental": dict(
-        enable_solver_sessions=True, conflict_mode="eager", warm_cutoff=True
-    ),
+    "incremental": dict(enable_solver_sessions=True, warm_cutoff=True),
 }
 
 _RESULTS: dict = {}

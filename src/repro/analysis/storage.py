@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..storage.planner import evictions
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..hls.synthesizer import SynthesisResult
 
@@ -23,8 +25,9 @@ class StoredReagent:
     producer: str
     consumer: str
     boundary: int  # stored across the end of this layer index
-    #: True when parent and child are bound to the same device: the reagent
-    #: can simply stay in place, needing no separate storage.
+    #: True when parent and child are bound to the same device and no other
+    #: operation runs there in between: the reagent can simply stay in
+    #: place, needing no separate storage.
     held_in_place: bool
 
 
@@ -57,20 +60,22 @@ def storage_report(result: "SynthesisResult") -> StorageReport:
     """Compute the storage demand of a synthesis result."""
     layer_of = result.layering.layer_of
     binding = result.schedule.binding
+    evicted = evictions(result.layering, result.schedule)
     reagents = []
-    for parent, child in result.assay.edges:
-        lp, lc = layer_of[parent], layer_of[child]
-        if lp == lc:
-            continue
-        for boundary in range(lp, lc):
-            reagents.append(
-                StoredReagent(
-                    producer=parent,
-                    consumer=child,
-                    boundary=boundary,
-                    held_in_place=binding[parent] == binding[child],
-                )
+    for parent, child in result.layering.cross_layer_edges():
+        held = (
+            binding[parent] == binding[child]
+            and (parent, child) not in evicted
+        )
+        reagents.extend(
+            StoredReagent(
+                producer=parent,
+                consumer=child,
+                boundary=boundary,
+                held_in_place=held,
             )
+            for boundary in range(layer_of[parent], layer_of[child])
+        )
     return StorageReport(reagents=reagents)
 
 
@@ -91,41 +96,15 @@ class StorageConflict:
 
 def storage_conflicts(result: "SynthesisResult") -> list[StorageConflict]:
     """Cross-layer reagents whose producer device gets reused before the
-    consumer runs.
-
-    A reagent produced by ``p`` (layer i) for ``c`` (layer j > i) waits in
-    ``p``'s device after layer i ends.  Any operation scheduled on that
-    device in layers i+1..j-1, or in layer j before ``c`` starts, evicts
-    the reagent into storage.  (When ``p`` and ``c`` share a device, the
-    first such operation is a genuine conflict too — the reagent has
-    nowhere to wait.)
-    """
-    layer_of = result.layering.layer_of
-    conflicts: list[StorageConflict] = []
-    for parent, child in result.assay.edges:
-        lp, lc = layer_of[parent], layer_of[child]
-        if lp == lc:
-            continue
-        _, parent_placement = result.schedule.find(parent)
-        device_uid = parent_placement.device_uid
-        child_placement = result.schedule.layer(lc)[child]
-        evictor = None
-        for mid in range(lp + 1, lc + 1):
-            for other in result.schedule.layer(mid).on_device(device_uid):
-                if other.uid == child:
-                    continue
-                if mid < lc or other.start < child_placement.start:
-                    evictor = other.uid
-                    break
-            if evictor:
-                break
-        if evictor is not None:
-            conflicts.append(
-                StorageConflict(
-                    producer=parent,
-                    consumer=child,
-                    device_uid=device_uid,
-                    evicting_op=evictor,
-                )
-            )
-    return conflicts
+    consumer runs (see :func:`repro.storage.planner.evictions`)."""
+    return [
+        StorageConflict(
+            producer=parent,
+            consumer=child,
+            device_uid=result.schedule.find(parent)[1].device_uid,
+            evicting_op=evictor,
+        )
+        for (parent, child), evictor in evictions(
+            result.layering, result.schedule
+        ).items()
+    ]

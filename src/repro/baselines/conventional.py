@@ -29,7 +29,7 @@ def conventional_spec(spec: SynthesisSpec) -> SynthesisSpec:
 
 
 def synthesize_conventional(
-    assay: Assay, spec: SynthesisSpec | None = None, jobs: int | None = None
+    assay: Assay, spec: SynthesisSpec | None = None
 ) -> SynthesisResult:
     """Synthesize ``assay`` with the modified conventional method.
 
@@ -44,7 +44,6 @@ def synthesize_conventional(
     context = SynthesisContext(
         assay=assay,
         spec=conventional_spec(spec),
-        jobs=jobs,
         started=time.monotonic(),
     )
     return SynthesisPipeline().run(context)

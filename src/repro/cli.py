@@ -10,7 +10,7 @@ Usage examples::
     repro-hls simulate my_assay.json --runs 32 --jobs 4 \\
         --faults exhaust:cap0 --policy resynth --trace-out trace.jsonl
     repro-hls table2 --cases 1 --time-limit 10
-    repro-hls table3 --cases 2 3 --jobs 4 --profile
+    repro-hls table3 --cases 2 3 --profile
     repro-hls serve --port 8642 --store-dir ~/.cache/repro-hls
     repro-hls serve --port 8643 --store-dir /srv/repro --fleet \\
         --replica-id r2
@@ -67,8 +67,6 @@ def _spec_from_args(args: argparse.Namespace) -> SynthesisSpec:
         backend=args.backend,
         mip_gap=getattr(args, "mip_gap", 0.0),
         scheduler=getattr(args, "scheduler", "portfolio"),
-        jobs=getattr(args, "jobs", 1),
-        conflict_mode=getattr(args, "conflicts", "eager"),
         enable_solver_sessions=not getattr(args, "no_solver_sessions", False),
         warm_cutoff=getattr(args, "warm_cutoff", False),
         storage_mode=getattr(args, "storage", None) or "off",
@@ -109,13 +107,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
              "LP-relaxation bounds)",
     )
     parser.add_argument(
-        "--conflicts", default="eager", metavar="MODE",
-        help="device-conflict encoding (eager|lazy): eager emits every "
-             "disjunction row up front (the reference flow); lazy "
-             "separates violated conflict groups on demand during the "
-             "solve",
-    )
-    parser.add_argument(
         "--no-solver-sessions", action="store_true",
         help="disable persistent per-layer solver sessions (forces "
              "from-scratch model encoding every pass; results are "
@@ -154,14 +145,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help="periodic scheduler backend (auto|ilp|greedy; auto runs the "
              "modulo ILP and degrades to the greedy modulo list scheduler "
              "when no MIP backend is usable)",
-    )
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for speculative re-synthesis layer solves "
-             "(results are identical for any value)",
     )
 
 
@@ -312,7 +295,6 @@ def _table_spec(args: argparse.Namespace) -> SynthesisSpec:
         default_spec(time_limit=args.time_limit),
         threshold=args.threshold,
         mip_gap=args.mip_gap,
-        jobs=args.jobs,
     )
 
 
@@ -708,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print per-layer solve telemetry and per-pass "
                             "stage timings")
     _add_spec_arguments(p_syn)
-    _add_jobs_argument(p_syn)
     p_syn.set_defaults(func=_cmd_synthesize)
 
     p_tp = sub.add_parser(
@@ -730,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the assay, e.g. 0.5 0.75",
     )
     _add_spec_arguments(p_tp)
-    _add_jobs_argument(p_tp)
     p_tp.set_defaults(func=_cmd_throughput)
 
     p_layer = sub.add_parser("layer", help="show the layering of an assay")
@@ -746,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--via-server", metavar="HOST:PORT",
                       help="run every case through a synthesis server "
                            "instead of in-process")
-    _add_jobs_argument(p_t2)
     p_t2.set_defaults(func=_cmd_table2)
 
     p_t3 = sub.add_parser("table3", help="regenerate the paper's Table 3")
@@ -754,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t3.add_argument("--time-limit", type=float, default=20.0)
     p_t3.add_argument("--threshold", type=int, default=10)
     p_t3.add_argument("--mip-gap", type=float, default=0.0)
-    _add_jobs_argument(p_t3)
     p_t3.add_argument("--profile", action="store_true",
                       help="print per-layer solve telemetry and per-pass "
                            "stage timings per case")

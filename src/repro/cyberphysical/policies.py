@@ -197,11 +197,9 @@ class ResynthesisPolicy(RecoveryPolicy):
         )
         # Contingency re-planning runs through the same pass pipeline as
         # offline synthesis, with the policy's persistent cross-run cache
-        # injected via the context.  jobs is pinned to 1: recovery often
-        # happens inside a Monte-Carlo campaign worker, where nesting
-        # another process pool would oversubscribe the machine.
+        # injected via the context.
         synthesis = SynthesisContext(
-            assay=residual, spec=spec, cache=self._cache, jobs=1
+            assay=residual, spec=spec, cache=self._cache
         )
         try:
             contingency = SynthesisPipeline().run(synthesis)

@@ -103,7 +103,6 @@ def synthesis_profile(result: SynthesisResult) -> dict:
                 "fixed_makespan": record.fixed_makespan,
                 "cache_hits": record.cache_hits,
                 "ilp_solves": record.ilp_solves,
-                "speculative_solves": record.speculative_solves,
                 "lower_bound": _finite_or_none(record.lower_bound),
                 "integrality_gap": _finite_or_none(record.integrality_gap),
                 "stage_timings": dict(record.stage_timings),
@@ -115,7 +114,6 @@ def synthesis_profile(result: SynthesisResult) -> dict:
             "passes": len(result.history),
             "cache_hits": result.cache_hits,
             "ilp_solves": result.ilp_solves,
-            "speculative_solves": result.speculative_solves,
             "lower_bound": _finite_or_none(result.lower_bound),
             "integrality_gap": _finite_or_none(result.integrality_gap),
             "nodes": result.total_nodes,
@@ -189,8 +187,6 @@ def format_profile(profile: dict) -> str:
         for layer in record.get("layers", []):
             stats = SolveStats.from_dict(layer)
             source = "hit" if stats.cache_hit else "miss"
-            if getattr(stats, "speculative", False):
-                source = "spec"
             lines.append(
                 f"{record['label']:<9} {stats.layer:>5} {stats.backend:<9} "
                 f"{stats.status:<10} {source:<5} "
@@ -208,17 +204,13 @@ def format_profile(profile: dict) -> str:
             )
             lines.append(f"{record['label']:<9} stages: {cells}")
     totals = profile.get("totals") or {}
-    speculative = totals.get("speculative_solves", 0)
-    speculative_note = (
-        f", {speculative} speculative solve(s)" if speculative else ""
-    )
     gap = totals.get("integrality_gap")
     certified_note = (
         f", certified gap {_format_gap(gap)}" if gap is not None else ""
     )
     lines.append(
         f"totals: {totals.get('ilp_solves', 0)} layer solve(s), "
-        f"{totals.get('cache_hits', 0)} cache hit(s){speculative_note}, "
+        f"{totals.get('cache_hits', 0)} cache hit(s), "
         f"{totals.get('nodes', 0)} node(s), "
         f"{totals.get('simplex_iterations', 0)} simplex iteration(s), "
         f"build {totals.get('build_time', 0.0):.3f}s, "

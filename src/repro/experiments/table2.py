@@ -79,23 +79,18 @@ def _row(case: int, method: str, result: SynthesisResult, elapsed: float) -> Tab
 
 
 def run_case(
-    case: int, spec: SynthesisSpec | None = None, jobs: int | None = None
+    case: int, spec: SynthesisSpec | None = None
 ) -> tuple[Table2Row, Table2Row]:
-    """Run one benchmark case; returns (conventional row, our row).
-
-    ``jobs`` fans re-synthesis layer solves across that many worker
-    processes (``None`` inherits ``spec.jobs``); results are identical
-    either way.
-    """
+    """Run one benchmark case; returns (conventional row, our row)."""
     spec = spec or default_spec()
     assay = benchmark_assay(case)
 
     started = time.monotonic()
-    conv = synthesize_conventional(assay, spec, jobs=jobs)
+    conv = synthesize_conventional(assay, spec)
     conv_row = _row(case, "Conv.", conv, time.monotonic() - started)
 
     started = time.monotonic()
-    ours = synthesize(assay, spec, jobs=jobs)
+    ours = synthesize(assay, spec)
     our_row = _row(case, "Our", ours, time.monotonic() - started)
     return conv_row, our_row
 
@@ -103,12 +98,11 @@ def run_case(
 def run_table2(
     spec: SynthesisSpec | None = None,
     cases: tuple[int, ...] = (1, 2, 3),
-    jobs: int | None = None,
 ) -> list[Table2Row]:
     """Run the full Table 2 experiment."""
     rows: list[Table2Row] = []
     for case in cases:
-        conv_row, our_row = run_case(case, spec, jobs=jobs)
+        conv_row, our_row = run_case(case, spec)
         rows.extend((conv_row, our_row))
     return rows
 

@@ -48,7 +48,7 @@ class Table3Row:
 
 
 def run_table3_case(
-    case: int, spec: SynthesisSpec | None = None, jobs: int | None = None
+    case: int, spec: SynthesisSpec | None = None
 ) -> Table3Row:
     """Progressive re-synthesis trajectory for one case.
 
@@ -60,7 +60,7 @@ def run_table3_case(
     from .report import synthesis_profile
 
     spec = spec or default_spec()
-    result = synthesize(benchmark_assay(case), spec, jobs=jobs)
+    result = synthesize(benchmark_assay(case), spec)
     exe_best: list[int] = []
     dev_best: list[int] = []
     for record in result.history:
@@ -81,6 +81,5 @@ def run_table3_case(
 def run_table3(
     spec: SynthesisSpec | None = None,
     cases: tuple[int, ...] = (2, 3),
-    jobs: int | None = None,
 ) -> list[Table3Row]:
-    return [run_table3_case(case, spec, jobs=jobs) for case in cases]
+    return [run_table3_case(case, spec) for case in cases]

@@ -10,8 +10,7 @@ refinement history.
 Internally synthesis runs as an explicit pass pipeline
 (:mod:`repro.hls.pipeline`) over a shared :class:`~repro.hls.context.
 SynthesisContext`, with per-layer solves delegated to pluggable scheduler
-backends (:mod:`repro.hls.backends`) and optionally fanned across worker
-processes on re-synthesis passes (:mod:`repro.hls.parallel`).
+backends (:mod:`repro.hls.backends`).
 """
 
 from .backends import (
@@ -25,7 +24,6 @@ from .cache import (
     LayerSolveCache,
     fingerprint_layer_problem,
     fingerprint_run,
-    strict_fingerprint_layer_problem,
     structural_fingerprint_layer_problem,
 )
 from .context import PassState, SynthesisContext, UidAllocator
@@ -49,7 +47,6 @@ __all__ = [
     "LayerSolveCache",
     "fingerprint_layer_problem",
     "fingerprint_run",
-    "strict_fingerprint_layer_problem",
     "structural_fingerprint_layer_problem",
     "LayerSession",
     "SessionPool",

@@ -1,9 +1,8 @@
 """Scheduler backends: pluggable strategies for one layer solve.
 
 Extracted from the old monolithic ``synthesizer._solve_layer`` so the
-per-layer solve is a first-class, isolated stage (and so parallel workers
-in :mod:`repro.hls.parallel` can run one without dragging the whole driver
-along).  A :class:`SchedulerBackend` turns a
+per-layer solve is a first-class, isolated stage.  A
+:class:`SchedulerBackend` turns a
 :class:`~repro.hls.milp_model.LayerProblem` into a
 :class:`~repro.hls.decode.LayerSolveResult`:
 
@@ -25,9 +24,7 @@ the resulting integrality gap.
 
 Uid discipline: backends allocate device uids for *the returned result
 only* (never for discarded race candidates), so the caller's allocator
-advances by exactly ``len(result.new_devices)`` per solve.  That invariant
-is what makes parallel speculation's uid prediction exact — see
-``hls/parallel.py``.
+advances by exactly ``len(result.new_devices)`` per solve.
 """
 
 from __future__ import annotations
@@ -53,8 +50,6 @@ from .milp_model import (
     LayerProblem,
     build_layer_model,
     encode_layer_start,
-    ensure_fully_separated,
-    separate_conflicts,
 )
 from .rounding import derive_rounding_guide
 from .schedule import LayerSchedule
@@ -129,13 +124,7 @@ def _relaxation_bound(
     Returns the LP :class:`Solution` when it solved to optimality, else
     ``None`` — a time- or iteration-limited LP proves nothing and must not
     be reported as a bound.
-
-    Certificates are only issued on fully separated models: a lazily built
-    layer model gets its pending conflict rows emitted here before the LP
-    runs, so every recorded bound is attributable to the complete paper
-    encoding (see :mod:`repro.ilp.relaxation`).
     """
-    ensure_fully_separated(layer_model)
     return relaxation_bound(
         layer_model.model,
         backend=spec.backend,
@@ -201,10 +190,7 @@ def _acquire_layer_model(
     if sessions is not None and spec.enable_solver_sessions:
         session = sessions.acquire(problem, spec, backend=backend)
         return session.layer_model, session.solver
-    layer_model = build_layer_model(
-        problem, spec, lazy_conflicts=spec.conflict_mode == "lazy"
-    )
-    return layer_model, None
+    return build_layer_model(problem, spec), None
 
 
 #: row name of the transient warm-start objective cutoff.
@@ -218,31 +204,14 @@ def _run_layer_solve(
     warm_start=None,
     backend: str | None = None,
 ) -> Solution:
-    """One layer MIP solve, with lazy conflict separation when enabled.
-
-    Eager models solve once.  Lazy models loop: solve the relaxed model,
-    detect same-device operation pairs that actually overlap
-    (:func:`separate_conflicts`), emit only those conflict groups, and
-    re-solve — in-session when ``solver`` is given, so only the new rows
-    are extracted.  When the layer's time budget runs dry mid-loop, the
-    remaining groups are emitted wholesale and one final solve runs on the
-    complete model (any incumbent of the full model is valid, so the
-    fallback ladder above stays sound).
+    """One layer MIP solve, in-session when ``solver`` is given.
 
     With ``spec.warm_cutoff`` and a warm start, the solve runs under a
     transient objective cutoff row at the warm point's cost.  The warm
-    vector has already been validated against every row — including, via
-    :func:`encode_layer_start`'s unemitted-violation guard, the conflict
-    groups a lazy model has not emitted yet — so the cutoff stays valid
-    across separation iterations and is removed before returning, leaving
-    the (session-held) model canonical.
-
-    The returned solution's ``runtime``/``stats.solve_time`` accumulate
-    across separation iterations — the caller sees the layer's true solver
-    cost, not the last iteration's.
+    vector has already been validated against every row by
+    :func:`encode_layer_start`, so the cutoff is valid; it is removed
+    before returning, leaving the (session-held) model canonical.
     """
-    started = time.monotonic()
-
     model = layer_model.model
     cutoff = spec.warm_cutoff and warm_start is not None
     if cutoff:
@@ -251,56 +220,21 @@ def _run_layer_solve(
             name=_WARM_CUTOFF_ROW,
         )
     try:
-        return _run_layer_solve_inner(
-            layer_model, solver, spec, warm_start, backend, started
+        if solver is not None:
+            return solver.solve(
+                time_limit=spec.time_limit,
+                mip_gap=spec.mip_gap,
+                warm_start=warm_start,
+            )
+        return model.solve(
+            backend=backend or spec.backend,
+            time_limit=spec.time_limit,
+            mip_gap=spec.mip_gap,
+            warm_start=warm_start,
         )
     finally:
         if cutoff:
             model.remove_constraint(_WARM_CUTOFF_ROW)
-
-
-def _run_layer_solve_inner(
-    layer_model: LayerModel,
-    solver: SolverSession | None,
-    spec: "SynthesisSpec",
-    warm_start,
-    backend: str | None,
-    started: float,
-) -> Solution:
-    def run(time_limit: float) -> Solution:
-        if solver is not None:
-            return solver.solve(
-                time_limit=time_limit,
-                mip_gap=spec.mip_gap,
-                warm_start=warm_start,
-            )
-        return layer_model.model.solve(
-            backend=backend or spec.backend,
-            time_limit=time_limit,
-            mip_gap=spec.mip_gap,
-            warm_start=warm_start,
-        )
-
-    solution = run(spec.time_limit)
-    if not layer_model.lazy_conflicts or layer_model.fully_separated:
-        return solution
-    total_runtime = solution.runtime
-    while solution.status.has_solution:
-        if not separate_conflicts(layer_model, solution.values):
-            break
-        remaining = spec.time_limit - (time.monotonic() - started)
-        if remaining <= 0.5:
-            # Budget exhausted: stop separating incrementally, complete the
-            # model, and give the final solve a token budget so it returns
-            # an incumbent that is valid against *all* conflict rows.
-            ensure_fully_separated(layer_model)
-            remaining = 1.0
-        solution = run(remaining)
-        total_runtime += solution.runtime
-    solution.runtime = total_runtime
-    if solution.stats is not None:
-        solution.stats.solve_time = total_runtime
-    return solution
 
 
 def _candidate_allocator() -> Callable[[], str]:

@@ -69,12 +69,12 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
         # solver returns, so cutoff and non-cutoff solves must not share
         # cache entries.
         spec.warm_cutoff,
-        # Lazy conflict separation converges to conflict-free schedules but
-        # may land on a different within-gap optimum than the eager
-        # encoding, so the modes must not share cached solves.  Solver
-        # sessions are deliberately absent: a session re-assembles the
-        # exact standard form a scratch build produces.
-        spec.conflict_mode,
+        # The retired conflict-encoding mode, pinned to its only remaining
+        # value: layer cache keys and service store keys (fingerprint_run)
+        # are persisted and exchanged between processes, so the token keeps
+        # its bytes.  Solver sessions are deliberately absent: a session
+        # re-assembles the exact standard form a scratch build produces.
+        "eager",
         (weights.time, weights.area, weights.processing, weights.paths),
         tuple(sorted((k[0].value, k[1].value, v) for k, v in costs.area.items())),
         tuple(
@@ -106,7 +106,7 @@ def _run_spec_token(spec: SynthesisSpec) -> tuple:
     Extends :func:`_spec_token` (the per-layer-solve fields) with the
     run-level knobs: the layering threshold, the re-synthesis iteration
     policy, and the transportation-estimation parameters.  Fields that
-    only change *how fast* an identical result is produced — ``jobs``,
+    only change *how fast* an identical result is produced —
     ``enable_solve_cache``, ``solve_cache_capacity`` — are deliberately
     excluded.
     """
@@ -269,57 +269,6 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def strict_fingerprint_layer_problem(
-    problem: LayerProblem, spec: SynthesisSpec
-) -> str:
-    """Fingerprint with *raw* device uids (no canonicalization).
-
-    The layer ILP's structure is not uid-independent — the model sorts
-    device pairs by uid ``repr`` when laying out path variables — so two
-    problems that match canonically can still build (slightly) different
-    models.  Parallel speculation therefore gates replay on this stricter
-    key: equality here means the predicted problem *is* the actual problem,
-    byte for byte, and the worker's solve is exactly the solve the
-    sequential driver would have run.
-    """
-    ops_token = tuple(
-        (
-            op.uid,
-            op.duration.scheduled,
-            op.is_indeterminate,
-            op.requirement_signature(),
-        )
-        for op in problem.ops
-    )
-    edges_token = tuple(
-        sorted(
-            (parent, child, problem.edge_transport[(parent, child)])
-            for parent, child in problem.in_layer_edges
-        )
-    )
-    devices_token = tuple(
-        (d.uid, _device_token(d)) for d in problem.fixed_devices
-    )
-    payload = (
-        "layer-solve-strict-v1",
-        problem.layer_index,
-        ops_token,
-        edges_token,
-        tuple(sorted(problem.release.items())),
-        devices_token,
-        problem.free_slots,
-        tuple(sorted(problem.incoming)),
-        tuple(sorted(problem.outgoing)),
-        tuple(sorted(problem.existing_paths)),
-        (
-            tuple(sorted(problem.storage_in.items())),
-            tuple(sorted(problem.storage_out.items())),
-        ),
-        _spec_token(spec),
-    )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
-
-
 def structural_fingerprint_layer_problem(
     problem: LayerProblem, spec: SynthesisSpec
 ) -> str:
@@ -331,8 +280,9 @@ def structural_fingerprint_layer_problem(
     whose only differences are coefficient/rhs/bound *values* derived from
     ``edge_transport`` and ``release`` — exactly what
     :func:`repro.hls.milp_model.encode_layer_delta` can patch in place.
-    Raw device uids are used (like the strict fingerprint) because the
-    model's variable layout depends on them.
+    Raw device uids are used because the model's variable layout depends
+    on them (it sorts device pairs by uid ``repr`` when laying out path
+    variables).
     """
     ops_token = tuple(
         (
@@ -378,8 +328,7 @@ class _CachedPlacement:
 class _CachedSolve:
     """A decoded layer result with all device uids canonicalized.
 
-    Also the wire format parallel workers ship results back in — it is a
-    small, picklable value with no uid state, so the parent process can
+    A small, picklable value with no uid state, so another process can
     materialize it through its own allocator exactly like a cache replay.
     """
 
@@ -560,22 +509,6 @@ class LayerSolveCache:
         if entry is None:
             return
         self._insert(key or self.key(problem, spec), entry)
-
-    def contains(self, problem: LayerProblem, spec: SynthesisSpec) -> bool:
-        """Whether a replay would hit, without touching the counters."""
-        return self.key(problem, spec) in self._entries
-
-    def entry(
-        self, problem: LayerProblem, spec: SynthesisSpec
-    ) -> _CachedSolve | None:
-        """The raw encoded solve for ``problem``, without touching the
-        hit/miss counters.
-
-        Used by the parallel speculator to simulate the replay the
-        sequential driver would perform (and to skip dispatching a worker
-        for it).
-        """
-        return self._entries.get(self.key(problem, spec))
 
     def lookup(
         self,

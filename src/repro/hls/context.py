@@ -2,11 +2,11 @@
 
 The old driver kept everything in local variables of ``synthesize()``;
 pulling it into an explicit :class:`SynthesisContext` lets the pipeline
-stages (``hls/pipeline.py``), the scheduler backends (``hls/backends.py``),
-and the parallel speculator (``hls/parallel.py``) operate on the same state
-without threading a dozen parameters around — and lets callers like the
-conventional baseline or contingency re-synthesis inject their own
-transport estimator, solve cache, or binding rule up front.
+stages (``hls/pipeline.py``) and the scheduler backends
+(``hls/backends.py``) operate on the same state without threading a dozen
+parameters around — and lets callers like the conventional baseline or
+contingency re-synthesis inject their own transport estimator, solve
+cache, or binding rule up front.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class UidAllocator:
 
     Backends draw uids for adopted results only (see ``hls/backends.py``),
     so the counter advances by exactly ``len(result.new_devices)`` per
-    layer solve — the property :meth:`clone` relies on to predict the uids
-    of speculative solves.
+    layer solve.
     """
 
     def __init__(self, start: int = 0) -> None:
@@ -41,9 +40,6 @@ class UidAllocator:
         uid = f"d{self.counter}"
         self.counter += 1
         return uid
-
-    def clone(self) -> "UidAllocator":
-        return UidAllocator(self.counter)
 
 
 class PassState:
@@ -81,18 +77,6 @@ class PassState:
     def used_devices(self) -> dict[str, GeneralDevice]:
         used = set(self.binding.values())
         return {uid: dev for uid, dev in self.devices.items() if uid in used}
-
-    def clone(self) -> "PassState":
-        """Shallow-copy the evolving maps (results/devices are immutable
-        enough to share) — used by the speculator to simulate a pass."""
-        twin = PassState()
-        twin.devices = dict(self.devices)
-        twin.born = dict(self.born)
-        twin.results = dict(self.results)
-        twin.binding = dict(self.binding)
-        twin.transport_snapshot = self.transport_snapshot
-        twin.transport_estimator = self.transport_estimator
-        return twin
 
 
 def pass_objective(
@@ -150,9 +134,6 @@ class SynthesisContext:
     #: cross-pass layer-solve cache; defaulted per ``enable_solve_cache``
     #: when omitted (pass an external cache to share across runs).
     cache: LayerSolveCache | None = None
-    #: worker processes for re-synthesis layer solves; ``None`` inherits
-    #: ``spec.jobs``.
-    jobs: int | None = None
     #: per-layer solver sessions, reused across re-synthesis passes;
     #: defaulted per ``spec.enable_solver_sessions`` when omitted.
     sessions: SessionPool | None = None
@@ -172,7 +153,5 @@ class SynthesisContext:
             self.cache = LayerSolveCache(
                 capacity=self.spec.solve_cache_capacity
             )
-        if self.jobs is None:
-            self.jobs = self.spec.jobs
         if self.sessions is None and self.spec.enable_solver_sessions:
             self.sessions = SessionPool()

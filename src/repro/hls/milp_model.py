@@ -71,10 +71,9 @@ class ConflictGroup:
     """One op pair's device-conflict disjunction (constraints (10)–(13)).
 
     Groups are enumerated for every unordered, dependency-unrelated pair
-    that could share a device.  Their rows are emitted either eagerly at
-    build time or lazily by :func:`separate_conflicts` when a solution
-    actually violates them; both paths go through
-    :func:`_emit_conflict_group`, the single source of truth for the rows.
+    that could share a device, and every group's rows are emitted at build
+    time by :func:`_emit_conflict_group`.  Delta encoding walks the same
+    groups to retarget their big-M coefficients.
     """
 
     #: "fixed" (both determinate), "mixed" (one indeterminate), or "ind".
@@ -147,20 +146,11 @@ class LayerModel:
     disj: list[tuple[str, Variable, str, str]] = field(default_factory=list)
     #: every conflict group of the layer, in pair-enumeration order.
     conflict_groups: list[ConflictGroup] = field(default_factory=list)
-    #: (a, b) pairs whose conflict rows are present in the model.
-    emitted: set[tuple[str, str]] = field(default_factory=set)
     #: conflict escape binaries by ("q0"|"q1"|"q2", a, b) — the handles
     #: delta encoding needs to retarget big-M coefficients.
     qvars: dict[tuple[str, str, str], Variable] = field(default_factory=dict)
     #: legal device keys per op uid (delta encoding re-derives row names).
     legal_keys: dict[str, list] = field(default_factory=dict)
-    #: conflict rows are generated lazily by separation instead of eagerly.
-    lazy_conflicts: bool = False
-
-    @property
-    def fully_separated(self) -> bool:
-        """True when every conflict group's rows are in the model."""
-        return len(self.emitted) >= len(self.conflict_groups)
 
 
 def _op_combos(op: Operation) -> list[tuple[ContainerKind, Capacity]]:
@@ -204,19 +194,8 @@ def _in_layer_reachability(
     return closed
 
 
-def build_layer_model(
-    problem: LayerProblem,
-    spec: SynthesisSpec,
-    lazy_conflicts: bool = False,
-) -> LayerModel:
-    """Construct the layer ILP (see module docstring).
-
-    With ``lazy_conflicts=True`` the device-conflict disjunctions
-    ((10)–(13)) are enumerated but *not* emitted; the solve loop calls
-    :func:`separate_conflicts` to add only the groups a trial solution
-    violates.  The relaxed model's solutions are only valid layer schedules
-    once separation converges (no violated group remains).
-    """
+def build_layer_model(problem: LayerProblem, spec: SynthesisSpec) -> LayerModel:
+    """Construct the layer ILP (see module docstring)."""
     ops = problem.ops
     by_uid = {op.uid: op for op in ops}
     mode = spec.binding_mode
@@ -397,9 +376,9 @@ def build_layer_model(
             keys.append(key)
         return keys
 
-    # The LayerModel exists from here on so the conflict emitter (shared
-    # with the lazy separation loop) can register rows and escape binaries
-    # on it; path_vars is filled below, the objective is set last.
+    # The LayerModel exists from here on so the conflict emitter can
+    # register rows and escape binaries on it; path_vars is filled below,
+    # the objective is set last.
     layer_model = LayerModel(
         model=model,
         problem=problem,
@@ -415,7 +394,6 @@ def build_layer_model(
         sig=sig,
         path_vars={},
         legal_keys=legal_keys,
-        lazy_conflicts=lazy_conflicts,
     )
 
     for i, op_a in enumerate(ops):
@@ -440,8 +418,7 @@ def build_layer_model(
             else:
                 group = ConflictGroup("fixed", a, b, None, None, tuple(shared))
             layer_model.conflict_groups.append(group)
-            if not lazy_conflicts:
-                _emit_conflict_group(layer_model, group)
+            _emit_conflict_group(layer_model, group)
 
     # ---- transportation paths ((21)) -------------------------------------------
     path_vars: dict[tuple, Variable] = layer_model.path_vars
@@ -559,11 +536,7 @@ def _emit_shared_device_rows(
 
 
 def _emit_conflict_group(layer_model: LayerModel, group: ConflictGroup) -> None:
-    """Emit one conflict group's rows ((10)–(13)) into the model.
-
-    Single source of truth for eager builds and the lazy separation loop;
-    row and variable names are identical either way.
-    """
+    """Emit one conflict group's rows ((10)–(13)) into the model."""
     model = layer_model.model
     problem = layer_model.problem
     start = layer_model.start
@@ -616,102 +589,6 @@ def _emit_conflict_group(layer_model: LayerModel, group: ConflictGroup) -> None:
         )
         _emit_shared_device_rows(layer_model, a, b, group.shared, q2, "conflict")
         model.add(q0 + q1 + q2 <= 2, name=f"disj[{a},{b}]")
-    layer_model.emitted.add((a, b))
-
-
-def _group_violated(
-    group: ConflictGroup,
-    starts: dict[str, float],
-    key_of: dict[str, object],
-    by_uid: dict[str, Operation],
-    release: dict[str, int],
-) -> bool:
-    """Does an assignment (starts + chosen device keys) violate the group?"""
-    key_a = key_of.get(group.a)
-    if key_a is None or key_a != key_of.get(group.b):
-        return False  # bound apart: every kind is satisfied
-    if group.kind == "ind":
-        return True  # two indeterminate ops may never share a device
-    if group.kind == "mixed":
-        fixed, ind = group.fixed, group.ind
-        done = (
-            starts[fixed]
-            + by_uid[fixed].duration.scheduled
-            + release.get(fixed, 0)
-        )
-        return not done <= starts[ind]
-    a, b = group.a, group.b
-    done_a = starts[a] + by_uid[a].duration.scheduled + release.get(a, 0)
-    done_b = starts[b] + by_uid[b].duration.scheduled + release.get(b, 0)
-    return not (starts[a] >= done_b or done_a <= starts[b])
-
-
-def _solution_assignment(
-    layer_model: LayerModel, values: dict[Variable, float]
-) -> tuple[dict[str, float], dict[str, object]]:
-    """Extract (start times, chosen device key per op) from variable values."""
-    starts = {
-        uid: float(round(values[var]))
-        for uid, var in layer_model.start.items()
-    }
-    key_of: dict[str, object] = {}
-    for (uid, key), var in layer_model.od.items():
-        if values[var] > 0.5:
-            key_of[uid] = key
-    return starts, key_of
-
-
-def unemitted_violations(
-    layer_model: LayerModel, values: dict[Variable, float]
-) -> list[ConflictGroup]:
-    """Conflict groups not yet in the model that ``values`` violates."""
-    pending = [
-        g
-        for g in layer_model.conflict_groups
-        if (g.a, g.b) not in layer_model.emitted
-    ]
-    if not pending:
-        return []
-    problem = layer_model.problem
-    by_uid = {op.uid: op for op in problem.ops}
-    starts, key_of = _solution_assignment(layer_model, values)
-    return [
-        g
-        for g in pending
-        if _group_violated(g, starts, key_of, by_uid, problem.release)
-    ]
-
-
-def separate_conflicts(
-    layer_model: LayerModel, values: dict[Variable, float]
-) -> list[ConflictGroup]:
-    """One round of lazy separation: emit the groups ``values`` violates.
-
-    Returns the newly emitted groups (empty means the solution is clean —
-    feasible for the *fully* separated model, not just the relaxed one).
-    """
-    violated = unemitted_violations(layer_model, values)
-    for group in violated:
-        _emit_conflict_group(layer_model, group)
-    return violated
-
-
-def ensure_fully_separated(layer_model: LayerModel) -> int:
-    """Emit every remaining conflict group; returns how many were added.
-
-    Certificates (LP relaxation bounds) are only issued off fully separated
-    models — the relaxed model's LP bound would still be valid (fewer rows
-    = a relaxation of the full model), but the certificate invariant is
-    stated, tested, and documented against the complete encoding.
-    """
-    remaining = [
-        g
-        for g in layer_model.conflict_groups
-        if (g.a, g.b) not in layer_model.emitted
-    ]
-    for group in remaining:
-        _emit_conflict_group(layer_model, group)
-    return len(remaining)
 
 
 def _delta_structure_token(problem: LayerProblem) -> tuple:
@@ -773,8 +650,8 @@ def encode_layer_delta(
     ops/devices/slots/edges/storage), in which case the caller rebuilds.
 
     The mutated model is element-identical to ``build_layer_model(problem,
-    spec)`` restricted to the emitted conflict groups: a delta-solved layer
-    is byte-identical to a from-scratch solve.
+    spec)``: a delta-solved layer is byte-identical to a from-scratch
+    solve.
     """
     from ..ilp.model import ModelDelta
 
@@ -832,7 +709,7 @@ def encode_layer_delta(
 
     for group in layer_model.conflict_groups:
         a, b = group.a, group.b
-        if (a, b) not in layer_model.emitted or group.kind == "ind":
+        if group.kind == "ind":
             continue
         if group.kind == "mixed":
             fixed = group.fixed
@@ -982,10 +859,6 @@ def encode_layer_start(
         values = _repair_layer_timing(layer_model, values)
         if values is None or model.check(values):
             return None
-    if unemitted_violations(layer_model, values):
-        # A lazily built model is missing conflict rows; a start that only
-        # passes because those rows are absent is not a valid schedule.
-        return None
     return values
 
 

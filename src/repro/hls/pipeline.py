@@ -18,8 +18,7 @@ re-synthesis pass gives layer ``L_i`` the previous pass's device set
 ``D \\ D'_i`` (Fig. 6), transportation times are refined between passes
 (Sec. 4.1), and iteration stops on the paper's improvement rule or on
 full solve-cache convergence.  What changed is that each piece is now a
-replaceable object — which is how ``hls/parallel.py`` slots speculative
-worker-process solves into re-synthesis passes without touching the loop.
+replaceable object.
 """
 
 from __future__ import annotations
@@ -41,14 +40,12 @@ from .spec import SynthesisSpec
 from .transport import TransportEstimator, path_key
 
 if TYPE_CHECKING:
-    from .parallel import PassSpeculator
     from .session import SessionPool
     from .synthesizer import SynthesisResult
 
 
 # ---------------------------------------------------------------------------
-# Layer-problem construction (shared by the real pass and the speculative
-# simulation in hls/parallel.py — both must derive *identical* problems).
+# Layer-problem construction
 # ---------------------------------------------------------------------------
 
 
@@ -259,14 +256,10 @@ class TransportRefineStage:
 
 
 class LayerSolveStage:
-    """Solve one layer: cache replay → adopted speculative solve → backend.
+    """Solve one layer: cache replay, else the scheduler backend.
 
     The scheduler backend is chosen by ``spec.scheduler`` (see
-    ``hls/backends.py``).  When a :class:`~repro.hls.parallel.PassSpeculator`
-    is attached, a worker-process solve is adopted only if the layer's
-    actual problem matches the speculated one byte for byte (strict
-    fingerprint); otherwise this stage solves inline, exactly like the
-    sequential driver.
+    ``hls/backends.py``).
     """
 
     name = "layer_solve"
@@ -278,7 +271,6 @@ class LayerSolveStage:
         allocate_uid: Callable[[], str],
         cache: LayerSolveCache | None = None,
         warm_from: LayerSolveResult | None = None,
-        speculator: "PassSpeculator | None" = None,
         sessions: "SessionPool | None" = None,
     ) -> LayerSolveResult:
         if cache is not None:
@@ -286,14 +278,10 @@ class LayerSolveStage:
             replayed = cache.lookup(problem, spec, allocate_uid, key=key)
             if replayed is not None:
                 return replayed
-        result = None
-        if speculator is not None:
-            result = speculator.take(problem, allocate_uid)
-        if result is None:
-            backend = create_scheduler(spec.scheduler)
-            result = backend.solve(
-                problem, spec, allocate_uid, warm_from, sessions=sessions
-            )
+        backend = create_scheduler(spec.scheduler)
+        result = backend.solve(
+            problem, spec, allocate_uid, warm_from, sessions=sessions
+        )
         if cache is not None:
             cache.store(problem, spec, result, key=key)
         return result
@@ -354,59 +342,30 @@ class PassLoop:
         self.convergence = ConvergenceStage()
 
     def run(self, context: SynthesisContext) -> None:
-        speculator = self._make_speculator(context)
-        try:
-            current = self.run_pass(context, previous=None)
-            context.history.append(self._record(context, 0, current))
-            best = current
+        current = self.run_pass(context, previous=None)
+        context.history.append(self._record(context, 0, current))
+        best = current
 
-            for iteration in range(1, context.spec.max_iterations + 1):
-                previous_makespan = current.fixed_makespan
-                refine_started = time.monotonic()
-                self.transport_refine.run(
-                    self._with_current(context, current)
-                )
-                refine_time = time.monotonic() - refine_started
-                if speculator is not None:
-                    speculator.begin_pass(current, context.uids)
-                try:
-                    candidate = self.run_pass(
-                        context, previous=current, speculator=speculator
-                    )
-                finally:
-                    if speculator is not None:
-                        speculator.end_pass()
-                record = self._record(context, iteration, candidate)
-                record.stage_timings[self.transport_refine.name] = refine_time
-                context.history.append(record)
-                if beats(candidate, best, context.assay, context.spec):
-                    best = candidate
-                stop = self.convergence.should_stop(
-                    context, previous_makespan, candidate
-                )
-                current = candidate
-                if stop:
-                    break
-        finally:
-            if speculator is not None:
-                speculator.close()
+        for iteration in range(1, context.spec.max_iterations + 1):
+            previous_makespan = current.fixed_makespan
+            refine_started = time.monotonic()
+            self.transport_refine.run(self._with_current(context, current))
+            refine_time = time.monotonic() - refine_started
+            candidate = self.run_pass(context, previous=current)
+            record = self._record(context, iteration, candidate)
+            record.stage_timings[self.transport_refine.name] = refine_time
+            context.history.append(record)
+            if beats(candidate, best, context.assay, context.spec):
+                best = candidate
+            stop = self.convergence.should_stop(
+                context, previous_makespan, candidate
+            )
+            current = candidate
+            if stop:
+                break
 
         context.current = current
         context.best = best
-
-    def _make_speculator(self, context: SynthesisContext):
-        if context.jobs <= 1 or context.spec.max_iterations < 1:
-            return None
-        from .parallel import PassSpeculator
-
-        return PassSpeculator(
-            assay=context.assay,
-            layering=context.layering,
-            spec=context.spec,
-            transport=context.transport,
-            cache=context.cache,
-            jobs=context.jobs,
-        )
 
     @staticmethod
     def _with_current(
@@ -419,7 +378,6 @@ class PassLoop:
         self,
         context: SynthesisContext,
         previous: PassState | None,
-        speculator: "PassSpeculator | None" = None,
     ) -> PassState:
         """One pass over all layers; records per-stage wall time."""
         assay = context.assay
@@ -463,15 +421,12 @@ class PassLoop:
                 context.uids,
                 cache=context.cache,
                 warm_from=warm_from,
-                speculator=speculator,
                 sessions=context.sessions,
             )
             timings["solve"] += time.monotonic() - stamp
 
             stamp = time.monotonic()
             apply_layer_result(state, layer.index, result)
-            if speculator is not None:
-                speculator.observe(layer.index, result, state, context.uids)
             timings["apply"] += time.monotonic() - stamp
 
         # Prune devices nothing references anymore (e.g. replaced during

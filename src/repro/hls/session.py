@@ -86,9 +86,7 @@ class SessionPool:
     def _build(
         self, problem: LayerProblem, spec: SynthesisSpec, backend: str | None
     ) -> LayerSession:
-        layer_model = build_layer_model(
-            problem, spec, lazy_conflicts=spec.conflict_mode == "lazy"
-        )
+        layer_model = build_layer_model(problem, spec)
         solver = attach(layer_model.model, backend=backend or spec.backend)
         return LayerSession(layer_model=layer_model, solver=solver)
 

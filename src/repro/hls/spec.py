@@ -88,14 +88,6 @@ class TransportProgression:
 #: per reagent.
 STORAGE_MODES = ("off", "reservoir", "channel", "auto")
 
-#: device-conflict encoding modes: ``eager`` emits every disjunction row
-#: of paper (10)-(13) up front (the reference encoding); ``lazy`` starts
-#: without them and separates only the violated conflict groups during the
-#: solve loop (see hls/milp_model.py).  Both converge to conflict-free
-#: schedules; within the MIP-gap tolerance the solver may return different
-#: (equally valid) optima, so the mode participates in solve fingerprints.
-CONFLICT_MODES = ("eager", "lazy")
-
 #: throughput modes (extension, see :mod:`repro.periodic`): ``off`` keeps
 #: the one-shot paper flow byte-identical; ``periodic`` additionally
 #: computes a steady-state modulo schedule that pipelines back-to-back
@@ -192,13 +184,6 @@ class SynthesisSpec:
     #: against warm-start reuse and the greedy list scheduler; "ilp-highs",
     #: "ilp-bnb", and "greedy" pin a single strategy).
     scheduler: str = "portfolio"
-    #: worker processes for re-synthesis layer solves (1 = sequential;
-    #: results are identical for any value — see hls/parallel.py).
-    jobs: int = 1
-    #: device-conflict encoding (see :data:`CONFLICT_MODES`): ``eager``
-    #: emits all disjunction rows up front; ``lazy`` separates violated
-    #: conflict groups on demand inside the solve loop.
-    conflict_mode: str = "eager"
     #: keep per-layer solver sessions alive across re-synthesis passes and
     #: mutate them with deltas instead of re-encoding from scratch.
     #: Results are byte-identical either way (sessions rebuild the same
@@ -242,16 +227,9 @@ class SynthesisSpec:
             )
         if self.max_iterations < 0:
             raise SpecificationError("max_iterations must be >= 0")
-        if self.jobs < 1:
-            raise SpecificationError("jobs must be >= 1")
         if self.solve_cache_capacity is not None and self.solve_cache_capacity < 1:
             raise SpecificationError(
                 "solve_cache_capacity must be >= 1 (or None for unbounded)"
-            )
-        if self.conflict_mode not in CONFLICT_MODES:
-            choices = "|".join(CONFLICT_MODES)
-            raise SpecificationError(
-                f"unknown conflict_mode {self.conflict_mode!r} (choices: {choices})"
             )
         if self.storage_mode not in STORAGE_MODES:
             choices = "|".join(STORAGE_MODES)

@@ -16,9 +16,8 @@ Passes repeat while the relative makespan improvement exceeds
 ``spec.max_iterations``.
 
 The machinery lives in sibling modules — :mod:`repro.hls.context` (run
-state), :mod:`repro.hls.pipeline` (the stage sequence),
-:mod:`repro.hls.backends` (per-layer scheduler strategies), and
-:mod:`repro.hls.parallel` (speculative multi-process layer solves).  This
+state), :mod:`repro.hls.pipeline` (the stage sequence) and
+:mod:`repro.hls.backends` (per-layer scheduler strategies).  This
 module keeps the public result types and the one-call entry point.
 """
 
@@ -92,11 +91,6 @@ class IterationRecord:
     def ilp_solves(self) -> int:
         """Layers this pass actually solved (i.e. did not replay)."""
         return sum(1 for s in self.layer_stats if not s.cache_hit)
-
-    @property
-    def speculative_solves(self) -> int:
-        """Layers adopted from a parallel worker's speculative solve."""
-        return sum(1 for s in self.layer_stats if s.speculative)
 
     @property
     def lower_bound(self) -> float | None:
@@ -188,11 +182,6 @@ class SynthesisResult:
         return sum(1 for s in self.solve_stats if not s.cache_hit)
 
     @property
-    def speculative_solves(self) -> int:
-        """Layer solves adopted from parallel workers (see hls/parallel)."""
-        return sum(1 for s in self.solve_stats if s.speculative)
-
-    @property
     def total_nodes(self) -> int:
         """Branch-and-bound nodes explored across all layer solves."""
         return sum(s.nodes for s in self.solve_stats)
@@ -248,7 +237,6 @@ def synthesize(
     spec: SynthesisSpec | None = None,
     transport: TransportEstimator | None = None,
     cache: LayerSolveCache | None = None,
-    jobs: int | None = None,
 ) -> SynthesisResult:
     """Run the full component-oriented synthesis flow on ``assay``.
 
@@ -260,9 +248,7 @@ def synthesize(
     supplies an external cross-run :class:`LayerSolveCache` (used by
     contingency re-synthesis to replay layer solves across repeated
     re-planning); when omitted, a per-run cache is created according to
-    ``spec.enable_solve_cache``.  ``jobs`` overrides ``spec.jobs``:
-    worker processes for re-synthesis layer solves (results are identical
-    for any value — see :mod:`repro.hls.parallel`).
+    ``spec.enable_solve_cache``.
     """
     from .pipeline import SynthesisPipeline
 
@@ -271,7 +257,6 @@ def synthesize(
         spec=spec or SynthesisSpec(),
         transport=transport,
         cache=cache,
-        jobs=jobs,
         started=time.monotonic(),
     )
     return SynthesisPipeline().run(context)

@@ -9,15 +9,6 @@ layer optimum" instead of a blind quality flag.
 Only an *optimal* LP solve certifies anything.  A time- or iteration-
 limited LP has a primal value but no proof, so those solves report
 ``TIMEOUT`` with no bound attached.
-
-Certificates are only issued on fully separated models.  A lazily built
-layer model (``build_layer_model(..., lazy_conflicts=True)``) may be
-missing conflict rows; callers must call
-:func:`repro.hls.milp_model.ensure_fully_separated` before asking
-:func:`relaxation_bound` for a certificate.  (The relaxed model's LP bound
-would still be a valid lower bound — fewer rows is itself a relaxation —
-but the invariant keeps every recorded certificate attributable to the
-complete paper encoding.)
 """
 
 from __future__ import annotations

@@ -75,9 +75,6 @@ class SolveStats:
     cache_hit: bool = False
     #: a warm-start incumbent was accepted by the backend.
     warm_started: bool = False
-    #: the solve ran ahead of time in a parallel worker (hls/parallel.py)
-    #: and was adopted after its predicted inputs were confirmed.
-    speculative: bool = False
     #: the layer objective the returned schedule achieves (layer_cost
     #: units); None when the backend did not evaluate one.
     objective: float | None = None

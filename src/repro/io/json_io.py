@@ -107,7 +107,6 @@ _SPEC_SCALAR_FIELDS = (
     "solve_cache_capacity",
     "enable_warm_start",
     "scheduler",
-    "jobs",
     "storage_mode",
     "storage_capacity",
     "throughput_mode",
@@ -242,8 +241,8 @@ def result_to_json(
 
     With ``deterministic=True`` the wall-clock ``runtime_seconds`` field is
     omitted, so two runs that produced the same synthesis outcome serialize
-    byte-identically — the property the parallel-synthesis smoke checks
-    compare on (``--jobs 1`` vs ``--jobs N``).
+    byte-identically — the property the solver-session smoke checks compare
+    on (sessions on vs off).
     """
     report = {
         "format": FORMAT_VERSION,

@@ -1,8 +1,7 @@
 """Worker-process entry point for service solves.
 
-Mirrors the wire discipline of :mod:`repro.hls.parallel`: the parent
-ships a small picklable request, the worker returns a tagged tuple, and
-*all* expected failures travel as data — a worker never lets a
+The parent ships a small picklable request, the worker returns a tagged
+tuple, and *all* expected failures travel as data — a worker never lets a
 :class:`~repro.errors.ReproError` escape as a pickled traceback.
 
 The request also carries an optional export of the parent's
@@ -75,9 +74,9 @@ def run_job(request: dict[str, Any]) -> tuple:
 
         method = request.get("method", "hls")
         if method == "conventional":
-            result = synthesize_conventional(assay, spec, jobs=1)
+            result = synthesize_conventional(assay, spec)
         elif method == "hls":
-            result = synthesize(assay, spec, cache=cache, jobs=1)
+            result = synthesize(assay, spec, cache=cache)
         else:
             return ("error", "bad-request", f"unknown method {method!r}")
 

@@ -10,7 +10,7 @@ the intermediate fluid to wait:
   hold is also allowed (at the ``hold`` weight) since the device merely
   stays occupied.  Infeasible whenever another operation runs on the
   producer's device before the consumer starts (the eviction analysis of
-  :func:`repro.analysis.storage.storage_conflicts`).
+  :func:`evictions`).
 * **channel** — the reagent parks in the producer↔consumer transport
   channel (``channel``/``auto`` modes).  Feasible only when the two
   devices differ (the channel exists exactly then, since every bound-
@@ -47,36 +47,51 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..operations.assay import Assay
 
 
+def evictions(
+    layering: "LayeringResult", schedule: "HybridSchedule"
+) -> dict[tuple[str, str], str]:
+    """Crossing edges whose reagent cannot wait in its producer's device.
+
+    A reagent produced by ``p`` (layer i) for ``c`` (layer j > i) waits in
+    ``p``'s device after layer i ends.  Any operation scheduled on that
+    device in layers i+1..j-1, or in layer j before ``c`` starts, evicts
+    the reagent into storage — also when ``p`` and ``c`` share the device,
+    since the reagent then has nowhere to wait.  Maps each evicted edge, in
+    assay edge order, to the first operation that evicts it.  Runs over
+    the raw (layering, schedule) pair, so an intermediate pass state
+    works as well as a finished result.
+    """
+    layer_of = layering.layer_of
+    evicting: dict[tuple[str, str], str] = {}
+    for parent, child in layering.cross_layer_edges():
+        lp, lc = layer_of[parent], layer_of[child]
+        _, parent_placement = schedule.find(parent)
+        device_uid = parent_placement.device_uid
+        child_start = schedule.layer(lc)[child].start
+        for mid in range(lp + 1, lc + 1):
+            evictor = next(
+                (
+                    other.uid
+                    for other in schedule.layer(mid).on_device(device_uid)
+                    if other.uid != child
+                    and (mid < lc or other.start < child_start)
+                ),
+                None,
+            )
+            if evictor is not None:
+                evicting[(parent, child)] = evictor
+                break
+    return evicting
+
+
 def evicted_edges(
     assay: "Assay",
     layering: "LayeringResult",
     schedule: "HybridSchedule",
 ) -> set[tuple[str, str]]:
-    """Crossing edges whose producer device is reused before consumption.
-
-    Same analysis as :func:`repro.analysis.storage.storage_conflicts`,
-    but over the raw (assay, layering, schedule) triple so it can run on
-    an intermediate pass state, not just a finished result.
-    """
-    layer_of = layering.layer_of
-    evicted: set[tuple[str, str]] = set()
-    for parent, child in layering.cross_layer_edges():
-        lp, lc = layer_of[parent], layer_of[child]
-        _, parent_placement = schedule.find(parent)
-        device_uid = parent_placement.device_uid
-        child_placement = schedule.layer(lc)[child]
-        for mid in range(lp + 1, lc + 1):
-            hit = False
-            for other in schedule.layer(mid).on_device(device_uid):
-                if other.uid == child:
-                    continue
-                if mid < lc or other.start < child_placement.start:
-                    evicted.add((parent, child))
-                    hit = True
-                    break
-            if hit:
-                break
-    return evicted
+    """Crossing edges whose producer device is reused before consumption
+    (see :func:`evictions`)."""
+    return set(evictions(layering, schedule))
 
 
 class StoragePlanner:

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from repro.analysis.storage import storage_conflicts
+from repro.analysis.storage import storage_conflicts, storage_report
 from repro.hls import synthesize
 from repro.hls.schedule import HybridSchedule, LayerSchedule, OpPlacement
 from repro.operations import AssayBuilder
@@ -11,9 +11,12 @@ from repro.operations import AssayBuilder
 class TestStorageConflictsSynthetic:
     """Conflicts checked on hand-built schedules for exact control."""
 
-    def build_result(self, child_start: int, extra_on_device: bool):
+    def build_result(
+        self, child_start: int, extra_on_device: bool, child_device: str = "dY"
+    ):
         """parent (layer 0, device dX) -> child (layer 1); optionally an
-        unrelated op occupies dX in layer 1 before the child starts."""
+        unrelated op occupies dX in layer 1 before the child starts (the
+        child then runs on ``child_device``)."""
         from repro.hls import SynthesisSpec
         from repro.hls.synthesizer import SynthesisResult
         from repro.layering import layer_assay
@@ -30,7 +33,7 @@ class TestStorageConflictsSynthetic:
         l0.place(OpPlacement("g", "dG", 3, 2, indeterminate=True))
         l1 = LayerSchedule(index=1)
         if extra_on_device:
-            l1.place(OpPlacement("c", "dY", child_start, 2))
+            l1.place(OpPlacement("c", child_device, child_start, 2))
             l1.place(OpPlacement("intruder", "dX", 0, 1))
         else:
             l1.place(OpPlacement("c", "dX", child_start, 2))
@@ -79,6 +82,17 @@ class TestStorageConflictsSynthetic:
         assert len(conflicts) == 1
         assert conflicts[0].evicting_op == "intruder"
         assert conflicts[0].device_uid == "dX"
+
+    def test_co_bound_reagent_evicted_needs_storage(self):
+        # c shares p's device, but the intruder runs there first: the
+        # reagent cannot wait in place.
+        result = self.build_result(
+            child_start=3, extra_on_device=True, child_device="dX"
+        )
+        report = storage_report(result)
+        (reagent,) = [r for r in report.reagents if r.producer == "p"]
+        assert not reagent.held_in_place
+        assert report.demand(0) == 2  # p->c and g->c
 
 
 class TestStorageConflictsOnSynthesis:

@@ -1,10 +1,9 @@
 """Certified synthesis quality: the lp-bound / approx-lp backends and the
 bound/gap plumbing through results, reports and the service payload.
 
-Three properties anchor the suite: rounded schedules are *feasible* on
-every paper case, every reported ``lower_bound`` really bounds the
-achieved objective, and ``--jobs N`` stays byte-identical with the new
-backends in the race.
+Two properties anchor the suite: rounded schedules are *feasible* on
+every paper case, and every reported ``lower_bound`` really bounds the
+achieved objective.
 """
 
 from __future__ import annotations
@@ -23,41 +22,18 @@ from repro.io.json_io import (
     spec_to_json,
 )
 
-#: Same pinned configuration as tests/test_parallel_synthesis.py: every
-#: layer solve terminates on its MIP gap, making runs reproducible byte
-#: for byte.
-DETERMINISTIC_KWARGS = dict(
-    max_devices=25, threshold=4, time_limit=60.0, mip_gap=0.05,
-    max_iterations=2,
-)
-
-_RUNS: dict[tuple, object] = {}
+_RUNS: dict[int, object] = {}
 
 
 def _case_run(case: int):
     """One cheap single-pass approx-lp run per paper case."""
-    key = ("case", case)
-    if key not in _RUNS:
+    if case not in _RUNS:
         spec = SynthesisSpec(
             threshold=4, time_limit=10.0, max_iterations=0,
             scheduler="approx-lp",
         )
-        _RUNS[key] = synthesize(benchmark_assay(case), spec)
-    return _RUNS[key]
-
-
-def _jobs_run(scheduler: str, jobs: int):
-    key = (scheduler, jobs)
-    if key not in _RUNS:
-        spec = SynthesisSpec(scheduler=scheduler, **DETERMINISTIC_KWARGS)
-        _RUNS[key] = synthesize(benchmark_assay(2), spec, jobs=jobs)
-    return _RUNS[key]
-
-
-def _report(result) -> str:
-    return json.dumps(
-        result_to_json(result, deterministic=True), indent=2, sort_keys=True
-    )
+        _RUNS[case] = synthesize(benchmark_assay(case), spec)
+    return _RUNS[case]
 
 
 class TestRegistry:
@@ -116,16 +92,6 @@ class TestBoundInvariant:
             if s.objective is not None
         ) + 1e-6
         assert report["history"][0]["integrality_gap"] is not None
-
-
-class TestParallelByteIdentity:
-    @pytest.mark.parametrize("scheduler", ("lp-bound", "approx-lp"))
-    def test_jobs_match_sequential(self, scheduler):
-        """jobs=2 output == jobs=1 output, exactly, for both new backends
-        (bound fields included — they ride in SolveStats over the wire)."""
-        assert _report(_jobs_run(scheduler, 2)) == _report(
-            _jobs_run(scheduler, 1)
-        )
 
 
 class TestDegradedCertificate:

@@ -95,8 +95,7 @@ class TestProfileGuards:
             "num_layers": 0,
             "passes": [],
             "totals": {
-                "passes": 0, "cache_hits": 0, "ilp_solves": 0,
-                "speculative_solves": 0, "nodes": 0,
+                "passes": 0, "cache_hits": 0, "ilp_solves": 0, "nodes": 0,
                 "simplex_iterations": 0, "build_time": 0.0,
                 "solve_time": 0.0, "mean_solve_time": 0.0, "runtime": 0.0,
             },

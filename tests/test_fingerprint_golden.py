@@ -1,8 +1,7 @@
 """Byte-identity lock on the layer-solve cache keys.
 
 ``tests/data/layer_fingerprints.json`` holds, per storage mode, the
-SHA-256 over the concatenated ``fingerprint_layer_problem``,
-``strict_fingerprint_layer_problem`` and
+SHA-256 over the concatenated ``fingerprint_layer_problem`` and
 ``structural_fingerprint_layer_problem`` values of every layer problem a
 greedy synthesis of one generator assay poses.  Cache keys travel between
 processes (``LayerSolveCache.export_entries``/``import_entries``), so a
@@ -41,7 +40,6 @@ from repro.hls import SynthesisSpec, synthesize
 from repro.hls import pipeline
 from repro.hls.cache import (
     fingerprint_layer_problem,
-    strict_fingerprint_layer_problem,
     structural_fingerprint_layer_problem,
 )
 n, storage = {n}, {storage!r}
@@ -54,7 +52,6 @@ def recording_solve(self, problem, spec, *args, **kwargs):
     problems += 1
     for fingerprint in (
         fingerprint_layer_problem,
-        strict_fingerprint_layer_problem,
         structural_fingerprint_layer_problem,
     ):
         digest.update(fingerprint(problem, spec).encode())

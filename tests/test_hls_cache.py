@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from repro.assays import random_assay
 from repro.hls import LayerSolveCache, SynthesisSpec, synthesize
-from repro.hls.cache import fingerprint_layer_problem
+from repro.hls.cache import (
+    encode_layer_result,
+    fingerprint_layer_problem,
+    materialize_layer_result,
+)
 from repro.hls.milp_model import LayerProblem
 from repro.hls.synthesizer import _solve_layer
 from repro.hls.transport import TransportEstimator
@@ -220,6 +224,15 @@ class TestReplay:
         replay = cache.lookup(problem, spec, make_allocator("r"))
         assert replay is not None
         assert structurally_equal(fresh, replay, problem)
+
+    def test_encode_decode_round_trip(self, indeterminate_assay, fast_spec):
+        problem = first_layer_problem(indeterminate_assay, fast_spec)
+        result = _solve_layer(problem, fast_spec, make_allocator())
+        entry = encode_layer_result(problem, result)
+        assert entry is not None
+        replayed = materialize_layer_result(entry, problem, make_allocator())
+        assert replayed.binding == result.binding
+        assert replayed.schedule.makespan == result.schedule.makespan
 
 
 class TestSynthesisWithCache:
@@ -433,7 +446,7 @@ class TestRunFingerprint:
 
         spec = SynthesisSpec(max_devices=6, threshold=3, time_limit=5)
         tuned = dataclasses.replace(
-            spec, jobs=8, enable_solve_cache=False, solve_cache_capacity=3,
+            spec, enable_solve_cache=False, solve_cache_capacity=3,
         )
         assert fingerprint_run(linear_assay, spec) == fingerprint_run(
             linear_assay, tuned

@@ -84,7 +84,6 @@ class TestEnumHardening:
     @pytest.mark.parametrize(
         ("flag", "value", "needle"),
         [
-            ("--conflicts", "bogus", "conflict_mode"),
             ("--storage", "bogus", "storage_mode"),
             ("--throughput", "bogus", "throughput_mode"),
             ("--periodic-scheduler", "bogus", "throughput_scheduler"),

@@ -286,7 +286,7 @@ class TestResultRoundTrip:
         )
         cache = LayerSolveCache()
         first = SynthesisPipeline().run(
-            SynthesisContext(assay=residual, spec=spec, cache=cache, jobs=1)
+            SynthesisContext(assay=residual, spec=spec, cache=cache)
         )
         self.round_trip(first, tmp_path)
 
@@ -297,7 +297,6 @@ class TestResultRoundTrip:
                 assay=residual,
                 spec=dataclasses.replace(spec),
                 cache=cache,
-                jobs=1,
             )
         )
         assert again.cache_hits > 0

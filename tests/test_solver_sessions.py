@@ -1,6 +1,5 @@
-"""Incremental-ILP tests: model mutation, solver sessions, layer deltas,
-and lazy conflict separation (repro.ilp.model / repro.hls.session /
-repro.hls.milp_model)."""
+"""Incremental-ILP tests: model mutation, solver sessions and layer deltas
+(repro.ilp.model / repro.hls.session / repro.hls.milp_model)."""
 
 import itertools
 import sys
@@ -10,16 +9,13 @@ import pytest
 
 from repro.errors import ModelError, SolverError
 from repro.hls import SessionPool, SynthesisSpec
-from repro.hls.backends import _relaxation_bound, _run_layer_solve
+from repro.hls.backends import _run_layer_solve
 from repro.hls.cache import structural_fingerprint_layer_problem
 from repro.hls.milp_model import (
     LayerProblem,
     apply_layer_delta,
     build_layer_model,
     encode_layer_delta,
-    ensure_fully_separated,
-    separate_conflicts,
-    unemitted_violations,
 )
 from repro.ilp import Model, ModelDelta, SolveStatus, attach, available_backends
 from repro.ilp.solve import solve
@@ -400,7 +396,7 @@ class TestLayerDelta:
 
 
 # ---------------------------------------------------------------------------
-# Lazy conflict separation
+# Contention fixture
 # ---------------------------------------------------------------------------
 
 
@@ -419,68 +415,6 @@ def contention_problem(n=3, duration=4):
         fixed_devices=[],
         free_slots=1,
     )
-
-
-class TestLazySeparation:
-    def spec(self, **kwargs):
-        kwargs.setdefault("max_devices", 4)
-        kwargs.setdefault("time_limit", 10.0)
-        return SynthesisSpec(**kwargs)
-
-    def test_lazy_model_starts_relaxed(self):
-        spec = self.spec()
-        eager = build_layer_model(contention_problem(), spec)
-        lazy = build_layer_model(contention_problem(), spec, lazy_conflicts=True)
-        assert eager.fully_separated
-        assert not lazy.fully_separated
-        assert len(lazy.model.constraints) < len(eager.model.constraints)
-        assert len(lazy.conflict_groups) == len(eager.conflict_groups) == 3
-
-    def test_separation_converges_to_conflict_free(self):
-        spec = self.spec()
-        lazy = build_layer_model(contention_problem(), spec, lazy_conflicts=True)
-        solution = _run_layer_solve(lazy, None, spec)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert not unemitted_violations(lazy, solution.values)
-        # All three ops on one device: optimal makespan is serial.
-        eager = build_layer_model(contention_problem(), spec)
-        reference = eager.model.solve(
-            backend=spec.backend, time_limit=spec.time_limit
-        )
-        assert solution.objective == pytest.approx(reference.objective)
-
-    def test_separate_conflicts_emits_only_violated_groups(self):
-        spec = self.spec()
-        lazy = build_layer_model(contention_problem(), spec, lazy_conflicts=True)
-        solution = lazy.model.solve(
-            backend=spec.backend, time_limit=spec.time_limit
-        )
-        assert solution.status.has_solution
-        emitted = separate_conflicts(lazy, solution.values)
-        # The relaxed optimum stacks everything at t=0, so at least one
-        # pair overlaps; emission is bounded by the total group count.
-        assert 0 < len(emitted) <= len(lazy.conflict_groups)
-        assert len(lazy.emitted) == len(emitted)
-
-    def test_ensure_fully_separated_completes_model(self):
-        spec = self.spec()
-        lazy = build_layer_model(contention_problem(), spec, lazy_conflicts=True)
-        added = ensure_fully_separated(lazy)
-        assert added == 3
-        assert lazy.fully_separated
-        eager = build_layer_model(contention_problem(), spec)
-        assert len(lazy.model.constraints) == len(eager.model.constraints)
-
-    def test_relaxation_bound_separates_first(self):
-        spec = self.spec()
-        lazy = build_layer_model(contention_problem(), spec, lazy_conflicts=True)
-        eager = build_layer_model(contention_problem(), spec)
-        relaxed = _relaxation_bound(lazy, spec)
-        assert lazy.fully_separated
-        assert len(lazy.model.constraints) == len(eager.model.constraints)
-        reference = _relaxation_bound(eager, spec)
-        assert relaxed is not None and reference is not None
-        assert relaxed.objective == pytest.approx(reference.objective)
 
 
 # ---------------------------------------------------------------------------
