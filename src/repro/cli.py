@@ -68,7 +68,6 @@ def _spec_from_args(args: argparse.Namespace) -> SynthesisSpec:
         mip_gap=getattr(args, "mip_gap", 0.0),
         scheduler=getattr(args, "scheduler", "portfolio"),
         enable_solver_sessions=not getattr(args, "no_solver_sessions", False),
-        warm_cutoff=getattr(args, "warm_cutoff", False),
         storage_mode=getattr(args, "storage", None) or "off",
         storage_capacity=getattr(args, "storage_capacity", 4),
         throughput_mode=getattr(args, "throughput", None) or "off",
@@ -111,12 +110,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable persistent per-layer solver sessions (forces "
              "from-scratch model encoding every pass; results are "
              "identical either way)",
-    )
-    parser.add_argument(
-        "--warm-cutoff", action="store_true",
-        help="bound each warm-started layer solve by the warm point's "
-             "objective (optimality-preserving; changes within-gap "
-             "tie-breaking, so it participates in solve fingerprints)",
     )
     parser.add_argument(
         "--storage", nargs="?", const="auto", default=None, metavar="MODE",
@@ -191,13 +184,7 @@ def _print_throughput(tr) -> None:
         f"periodic       : latency {tr.latency}, lower bound "
         f"{stats.lower_bound:g}{gap_note}, {stats.status}{degraded}"
     )
-    counters = tr.pool_counters
-    print(
-        f"II search      : {len(tr.probes)} probe(s) via {tr.scheduler} "
-        f"(sessions created {counters.get('created', 0)} "
-        f"reused {counters.get('reused', 0)} "
-        f"rebuilt {counters.get('rebuilt', 0)})"
-    )
+    print(f"II search      : {len(tr.probes)} probe(s) via {tr.scheduler}")
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:

@@ -193,10 +193,6 @@ def _acquire_layer_model(
     return build_layer_model(problem, spec), None
 
 
-#: row name of the transient warm-start objective cutoff.
-_WARM_CUTOFF_ROW = "warm_cutoff"
-
-
 def _run_layer_solve(
     layer_model: LayerModel,
     solver: SolverSession | None,
@@ -204,37 +200,19 @@ def _run_layer_solve(
     warm_start=None,
     backend: str | None = None,
 ) -> Solution:
-    """One layer MIP solve, in-session when ``solver`` is given.
-
-    With ``spec.warm_cutoff`` and a warm start, the solve runs under a
-    transient objective cutoff row at the warm point's cost.  The warm
-    vector has already been validated against every row by
-    :func:`encode_layer_start`, so the cutoff is valid; it is removed
-    before returning, leaving the (session-held) model canonical.
-    """
-    model = layer_model.model
-    cutoff = spec.warm_cutoff and warm_start is not None
-    if cutoff:
-        model.add(
-            model.objective.copy() <= model.objective.value(warm_start),
-            name=_WARM_CUTOFF_ROW,
-        )
-    try:
-        if solver is not None:
-            return solver.solve(
-                time_limit=spec.time_limit,
-                mip_gap=spec.mip_gap,
-                warm_start=warm_start,
-            )
-        return model.solve(
-            backend=backend or spec.backend,
+    """One layer MIP solve, in-session when ``solver`` is given."""
+    if solver is not None:
+        return solver.solve(
             time_limit=spec.time_limit,
             mip_gap=spec.mip_gap,
             warm_start=warm_start,
         )
-    finally:
-        if cutoff:
-            model.remove_constraint(_WARM_CUTOFF_ROW)
+    return layer_model.model.solve(
+        backend=backend or spec.backend,
+        time_limit=spec.time_limit,
+        mip_gap=spec.mip_gap,
+        warm_start=warm_start,
+    )
 
 
 def _candidate_allocator() -> Callable[[], str]:

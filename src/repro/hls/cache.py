@@ -65,15 +65,12 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
         spec.mip_gap,
         spec.allow_heuristic_fallback,
         spec.enable_warm_start,
-        # The warm-start cutoff row steers which within-gap optimum the
-        # solver returns, so cutoff and non-cutoff solves must not share
-        # cache entries.
-        spec.warm_cutoff,
-        # The retired conflict-encoding mode, pinned to its only remaining
-        # value: layer cache keys and service store keys (fingerprint_run)
-        # are persisted and exchanged between processes, so the token keeps
-        # its bytes.  Solver sessions are deliberately absent: a session
-        # re-assembles the exact standard form a scratch build produces.
+        # The retired warm-start cutoff and conflict-encoding mode, pinned
+        # to their only remaining values: service store keys
+        # (fingerprint_run) are persisted, so the token keeps its bytes.
+        # Solver sessions are deliberately absent: a session re-assembles
+        # the exact standard form a scratch build produces.
+        False,
         "eager",
         (weights.time, weights.area, weights.processing, weights.paths),
         tuple(sorted((k[0].value, k[1].value, v) for k, v in costs.area.items())),
@@ -328,8 +325,8 @@ class _CachedPlacement:
 class _CachedSolve:
     """A decoded layer result with all device uids canonicalized.
 
-    A small, picklable value with no uid state, so another process can
-    materialize it through its own allocator exactly like a cache replay.
+    It holds no uid state, so a later pass materializes it through its own
+    allocator.
     """
 
     placements: tuple[_CachedPlacement, ...]
@@ -340,8 +337,7 @@ class _CachedSolve:
     backend: str
     #: certified lower bound on the layer objective, carried across replays
     #: so a cache hit keeps its quality certificate (None = uncertified).
-    #: Defaulted for pickle-compat with entries exported by older builds.
-    lower_bound: float | None = None
+    lower_bound: float | None
 
 
 def encode_layer_result(
@@ -547,33 +543,3 @@ class LayerSolveCache:
 
         _certify(result.stats, result, problem, spec, entry.lower_bound)
         return result
-
-    def export_entries(
-        self, limit: int | None = None
-    ) -> list[tuple[str, _CachedSolve]]:
-        """The cache's contents as a picklable ``(fingerprint, entry)`` list.
-
-        Most-recently-used entries come *last*, so a size-limited export
-        keeps the hottest ``limit`` entries.  Entries are canonical (no
-        process-local uid state), which is what makes shipping them to
-        another process sound: :meth:`import_entries` replays them exactly
-        like same-process hits.
-        """
-        items = list(self._entries.items())
-        if limit is not None and limit >= 0:
-            items = items[-limit:] if limit else []
-        return items
-
-    def import_entries(self, entries) -> int:
-        """Merge exported entries (see :meth:`export_entries`); returns the
-        number of *new* fingerprints added.  Existing entries are refreshed
-        to most-recently-used but not overwritten — the local copy is
-        already the same canonical solve."""
-        added = 0
-        for key, entry in entries:
-            if key in self._entries:
-                self._touch(key)
-                continue
-            self._insert(key, entry)
-            added += 1
-        return added

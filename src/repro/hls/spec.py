@@ -171,15 +171,6 @@ class SynthesisSpec:
     #: seed each layer ILP with an incumbent (previous pass's result, or
     #: the greedy fallback) on backends that support warm starts.
     enable_warm_start: bool = True
-    #: add an objective cutoff row (``c.x <= c.warm``) from the validated
-    #: warm start before each layer solve.  The warm point is feasible, so
-    #: the true optimum survives the cut and any incumbent still lands
-    #: within ``mip_gap`` of it — but the search path (and hence the
-    #: within-gap tie-breaking) changes, so the flag participates in solve
-    #: fingerprints.  This is the HiGHS-side analogue of the pure-Python
-    #: solver's incumbent carry: SciPy's ``milp`` cannot inject a start
-    #: vector, but it can be told not to search above one.
-    warm_cutoff: bool = False
     #: scheduler backend for per-layer solves ("portfolio" races the ILP
     #: against warm-start reuse and the greedy list scheduler; "ilp-highs",
     #: "ilp-bnb", and "greedy" pin a single strategy).

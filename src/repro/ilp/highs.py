@@ -172,13 +172,6 @@ class HighsSession:
                 self._pos[id(con)] = len(self._cons)
                 self._cons.append(con)
                 self._rows.append(_extract_row(con))
-            elif kind == "remove_con":
-                con = entry[1]
-                i = self._pos.pop(id(con))
-                del self._cons[i]
-                del self._rows[i]
-                for j in range(i, len(self._cons)):
-                    self._pos[id(self._cons[j])] = j
             elif kind == "row":
                 con = entry[1]
                 self._rows[self._pos[id(con)]] = _extract_row(con)

@@ -100,12 +100,12 @@ class Model:
         self.objective: LinExpr = LinExpr()
         self._names: set[str] = set()
         #: monotone revision counter, bumped by every mutation (variable or
-        #: constraint added/removed, coefficient/bound/objective updated).
+        #: constraint added, coefficient/bound/objective updated).
         self.revision: int = 0
         # Append-only mutation log consumed by solver sessions; each session
         # keeps its own cursor into this list.  Entries:
-        #   ("add_var", var) ("add_con", con) ("remove_con", con)
-        #   ("row", con)     ("var", var)     ("obj",)
+        #   ("add_var", var) ("add_con", con) ("row", con)
+        #   ("var", var)     ("obj",)
         self._log: list[tuple] = []
         self._named: dict[str, Constraint] = {}
 
@@ -172,21 +172,6 @@ class Model:
         con = self._named.get(name)
         if con is None:
             raise ModelError(f"no constraint named {name!r}")
-        return con
-
-    def has_constraint(self, name: str) -> bool:
-        return name in self._named
-
-    def remove_constraint(self, name: str) -> Constraint:
-        """Remove a named constraint; removing it twice is a :class:`ModelError`."""
-        con = self._named.pop(name, None)
-        if con is None:
-            raise ModelError(f"no constraint named {name!r} (already removed?)")
-        for i, candidate in enumerate(self.constraints):
-            if candidate is con:
-                del self.constraints[i]
-                break
-        self._record("remove_con", con)
         return con
 
     def set_rhs(self, name: str, rhs: Number) -> None:
@@ -392,9 +377,6 @@ class ModelDelta:
     def add(self, constraint: Constraint, name: str = "") -> None:
         self._ops.append(("add", constraint, name))
 
-    def remove(self, name: str) -> None:
-        self._ops.append(("remove", name))
-
     def set_rhs(self, name: str, rhs: Number) -> None:
         self._ops.append(("rhs", name, rhs))
 
@@ -418,8 +400,6 @@ class ModelDelta:
             kind = op[0]
             if kind == "add":
                 model.add(op[1], name=op[2])
-            elif kind == "remove":
-                model.remove_constraint(op[1])
             elif kind == "rhs":
                 model.set_rhs(op[1], op[2])
             elif kind == "coeff":

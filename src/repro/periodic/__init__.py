@@ -12,8 +12,7 @@ Modules:
 * :mod:`~repro.periodic.problem`   — reduce a synthesis result to affine
   resource intervals (device / channel / storage occupancy);
 * :mod:`~repro.periodic.model`     — the modulo ILP over the ``ilp/``
-  layer, with II re-probing as a :class:`~repro.ilp.ModelDelta`;
-* :mod:`~repro.periodic.session`   — solver-session reuse across probes;
+  layer, built once per II probe;
 * :mod:`~repro.periodic.greedy`    — the greedy modulo list scheduler;
 * :mod:`~repro.periodic.bound`     — LP-certified ResMII lower bounds;
 * :mod:`~repro.periodic.scheduler` — the II search, backend registry,
@@ -25,7 +24,7 @@ Modules:
 
 from .bound import ii_lower_bound, resource_bound
 from .greedy import circular_overlap, greedy_modulo_schedule
-from .model import build_periodic_model, encode_ii_delta
+from .model import build_periodic_model
 from .problem import AffineInterval, PeriodicProblem, build_periodic_problem
 from .scheduler import (
     ProbeRecord,
@@ -35,7 +34,6 @@ from .scheduler import (
     register_periodic_scheduler,
     schedule_throughput,
 )
-from .session import PeriodicSessionPool
 from .validate import (
     PeriodicSchedule,
     collect_periodic_violations,
@@ -55,7 +53,6 @@ __all__ = [
     "AffineInterval",
     "PeriodicProblem",
     "PeriodicSchedule",
-    "PeriodicSessionPool",
     "ProbeRecord",
     "SharedThroughput",
     "ThroughputResult",
@@ -67,7 +64,6 @@ __all__ = [
     "collect_periodic_violations",
     "create_periodic_scheduler",
     "derive_variants",
-    "encode_ii_delta",
     "greedy_modulo_schedule",
     "ii_lower_bound",
     "prefix_variant",

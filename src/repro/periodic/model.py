@@ -17,15 +17,7 @@ Substituting ``len = e - s`` collapses the upper branch to the tidy
 
 Because the interval endpoints are affine in operation starts
 (:class:`~repro.periodic.problem.AffineInterval`), both rows are linear.
-``II`` appears only as the coefficient of ``w``, the right-hand side of
-``pair_hi``, the right-hand side of the per-interval fit rows
-(``len <= II``), and the wrap-variable bounds — so re-probing a new II
-against a live :class:`~repro.ilp.SolverSession` is a small
-:class:`~repro.ilp.ModelDelta`, not a re-encode (the PR-8 machinery).
-
-The delta path re-assembles exactly the standard form a scratch build at
-the new II produces, so search results are byte-identical with sessions
-on or off (asserted by tests/test_periodic_sessions.py).
+Each II probe builds its model from scratch.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..ilp import LinExpr, Model, ModelDelta, Solution, Variable
+from ..ilp import LinExpr, Model, Solution, Variable
 from .problem import AffineInterval, PeriodicProblem
 
 
@@ -45,33 +37,20 @@ def wrap_bound(horizon: int, ii: int) -> int:
 
 @dataclass
 class _PairRow:
-    lo_name: str
-    hi_name: str
     wrap: Variable
-    #: II-free part of the pair_hi right-hand side (from the interval
-    #: endpoint offsets): rhs = II + hi_rhs_offset.
-    hi_rhs_offset: int
     first: AffineInterval
     second: AffineInterval
 
 
 @dataclass
-class _FitRow:
-    name: str
-    #: rhs = II + rhs_offset.
-    rhs_offset: int
-
-
-@dataclass
 class PeriodicModel:
-    """A live modulo model for one :class:`PeriodicProblem` at one II."""
+    """The modulo model of one :class:`PeriodicProblem` at one II."""
 
     problem: PeriodicProblem
     ii: int
     model: Model
     starts: dict[str, Variable]
     pairs: list[_PairRow] = field(default_factory=list)
-    fits: list[_FitRow] = field(default_factory=list)
 
     def decode(self, solution: Solution) -> dict[str, int]:
         return {
@@ -89,8 +68,7 @@ def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
     """Encode ``problem`` at candidate interval ``ii``.
 
     Deterministic: operations in topological order, intervals in problem
-    order, pairs in (resource, index) order — the same construction a
-    delta-mutated session re-assembles.
+    order, pairs in (resource, index) order.
     """
     model = Model(name=f"periodic[{problem.name}]@{ii}", sense="min")
     horizon = problem.horizon
@@ -107,19 +85,16 @@ def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
             name=f"dep[{parent}->{child}]",
         )
 
-    fits: list[_FitRow] = []
     for interval in problem.intervals:
         if interval.fixed_length is not None:
             # Constant-length intervals get their fit check at probe time
             # (feasible_lengths) — an empty row would be degenerate.
             continue
-        name = f"fit[{interval.label}]"
         expr = (
             starts[interval.end_anchor] - starts[interval.start_anchor]
         )
         offset = interval.start_offset - interval.end_offset
-        model.add(expr <= ii + offset, name=name)
-        fits.append(_FitRow(name=name, rhs_offset=offset))
+        model.add(expr <= ii + offset, name=f"fit[{interval.label}]")
 
     bound = wrap_bound(horizon, ii)
     pairs: list[_PairRow] = []
@@ -132,60 +107,28 @@ def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
                 wrap = model.integer(
                     f"w[{first.label}|{second.label}]", lb=-bound, ub=bound
                 )
-                lo_name = f"pair_lo[{first.label}|{second.label}]"
-                hi_name = f"pair_hi[{first.label}|{second.label}]"
                 # s_second - e_first + II*w >= 0
                 model.add(
                     starts[second.start_anchor]
                     - starts[first.end_anchor]
                     + wrap * ii
                     >= first.end_offset - second.start_offset,
-                    name=lo_name,
+                    name=f"pair_lo[{first.label}|{second.label}]",
                 )
                 # e_second - s_first + II*w <= II
-                hi_offset = first.start_offset - second.end_offset
                 model.add(
                     starts[second.end_anchor]
                     - starts[first.start_anchor]
                     + wrap * ii
-                    <= ii + hi_offset,
-                    name=hi_name,
+                    <= ii + first.start_offset - second.end_offset,
+                    name=f"pair_hi[{first.label}|{second.label}]",
                 )
-                pairs.append(
-                    _PairRow(
-                        lo_name=lo_name,
-                        hi_name=hi_name,
-                        wrap=wrap,
-                        hi_rhs_offset=hi_offset,
-                        first=first,
-                        second=second,
-                    )
-                )
+                pairs.append(_PairRow(wrap=wrap, first=first, second=second))
 
     model.minimize(LinExpr.sum(starts[uid] for uid in problem.order))
     return PeriodicModel(
-        problem=problem, ii=ii, model=model, starts=starts, pairs=pairs,
-        fits=fits,
+        problem=problem, ii=ii, model=model, starts=starts, pairs=pairs
     )
-
-
-def encode_ii_delta(pmodel: PeriodicModel, ii: int) -> ModelDelta:
-    """The :class:`ModelDelta` that re-targets ``pmodel`` to a new II.
-
-    Touches exactly the II-dependent entries (wrap coefficients and
-    bounds, ``pair_hi`` and fit right-hand sides); applying it leaves the
-    model equal to a scratch :func:`build_periodic_model` at ``ii``.
-    """
-    delta = ModelDelta()
-    bound = wrap_bound(pmodel.problem.horizon, ii)
-    for fit in pmodel.fits:
-        delta.set_rhs(fit.name, ii + fit.rhs_offset)
-    for pair in pmodel.pairs:
-        delta.set_coefficient(pair.lo_name, pair.wrap, ii)
-        delta.set_coefficient(pair.hi_name, pair.wrap, ii)
-        delta.set_rhs(pair.hi_name, ii + pair.hi_rhs_offset)
-        delta.set_variable_bounds(pair.wrap, lb=-bound, ub=bound)
-    return delta
 
 
 def feasible_lengths(problem: PeriodicProblem, ii: int) -> bool:

@@ -4,9 +4,8 @@ Mirrors the one-shot flow's :mod:`repro.hls.backends` registry idiom —
 periodic scheduler backends are registered by name and selected through
 ``spec.throughput_scheduler``:
 
-* ``ilp``    — every probe solves the modulo ILP of
-  :mod:`repro.periodic.model` through a pooled
-  :class:`~repro.ilp.SolverSession` (one encode, per-probe deltas);
+* ``ilp``    — every probe builds and solves the modulo ILP of
+  :mod:`repro.periodic.model`;
 * ``greedy`` — every probe runs the modulo list scheduler;
 * ``auto``   — the ILP when a MIP backend is usable and the model is
   reasonably sized, degrading to greedy **per probe** on solver
@@ -38,9 +37,8 @@ from ..hls.spec import PERIODIC_SCHEDULERS, SynthesisSpec
 from ..ilp import SolveStats, relative_gap
 from .bound import ii_lower_bound
 from .greedy import greedy_modulo_schedule
-from .model import feasible_lengths, warm_start_values
+from .model import build_periodic_model, feasible_lengths, warm_start_values
 from .problem import PeriodicProblem, build_periodic_problem
-from .session import PeriodicSessionPool
 from .validate import (
     PeriodicSchedule,
     collect_periodic_violations,
@@ -70,8 +68,6 @@ class ThroughputResult:
     schedule: PeriodicSchedule
     stats: SolveStats
     probes: list[ProbeRecord] = field(default_factory=list)
-    #: session-pool counters of the search (created/reused/rebuilt).
-    pool_counters: dict[str, int] = field(default_factory=dict)
     #: the backend that produced the accepted schedule.
     scheduler: str = ""
     #: the ILP degraded to greedy at least once (missing backend/budget).
@@ -119,7 +115,6 @@ class _Search:
     """Mutable probe state shared across one II search."""
 
     spec: SynthesisSpec
-    pool: PeriodicSessionPool
     #: best known feasible starts, warm-start seed for MIP probes.
     incumbent: dict[str, int] | None = None
     degraded: bool = False
@@ -148,18 +143,20 @@ class IlpPeriodicScheduler(PeriodicSchedulerBackend):
     name = "ilp"
 
     def attempt(self, problem, ii, search):
-        session = search.pool.acquire(problem, ii)
+        spec = search.spec
+        pmodel = build_periodic_model(problem, ii)
         warm = None
-        if search.spec.enable_warm_start and search.incumbent is not None:
-            warm = warm_start_values(session.pmodel, search.incumbent)
-        solution = session.solver.solve(
-            time_limit=search.spec.time_limit,
-            mip_gap=search.spec.mip_gap,
+        if spec.enable_warm_start and search.incumbent is not None:
+            warm = warm_start_values(pmodel, search.incumbent)
+        solution = pmodel.model.solve(
+            backend=spec.backend,
+            time_limit=spec.time_limit,
+            mip_gap=spec.mip_gap,
             warm_start=warm,
         )
         if not solution.status.has_solution:
             return None
-        return session.pmodel.decode(solution)
+        return pmodel.decode(solution)
 
 
 class AutoPeriodicScheduler(PeriodicSchedulerBackend):
@@ -258,10 +255,7 @@ def schedule_throughput(
     started = time.monotonic()
     bound, certificate = ii_lower_bound(problem)
     backend = create_periodic_scheduler(spec.throughput_scheduler)
-    pool = PeriodicSessionPool(
-        enabled=spec.enable_solver_sessions, backend=spec.backend
-    )
-    search = _Search(spec=spec, pool=pool)
+    search = _Search(spec=spec)
     probes: list[ProbeRecord] = []
 
     best = _validated(problem, max(problem.horizon, 1), problem.baseline_starts)
@@ -278,31 +272,28 @@ def schedule_throughput(
         floor = max(floor, spec.target_ii)
 
     lo, hi = floor, best.ii
-    try:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe_started = time.monotonic()
-            starts = None
-            if feasible_lengths(problem, mid):
-                starts = backend.attempt(problem, mid, search)
-            schedule = _validated(problem, mid, starts)
-            probes.append(
-                ProbeRecord(
-                    ii=mid,
-                    feasible=schedule is not None,
-                    scheduler=backend.name,
-                    solve_time=time.monotonic() - probe_started,
-                )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe_started = time.monotonic()
+        starts = None
+        if feasible_lengths(problem, mid):
+            starts = backend.attempt(problem, mid, search)
+        schedule = _validated(problem, mid, starts)
+        probes.append(
+            ProbeRecord(
+                ii=mid,
+                feasible=schedule is not None,
+                scheduler=backend.name,
+                solve_time=time.monotonic() - probe_started,
             )
-            if schedule is not None:
-                best = schedule
-                best_scheduler = backend.name
-                search.incumbent = dict(schedule.starts)
-                hi = mid
-            else:
-                lo = mid + 1
-    finally:
-        pool.close()
+        )
+        if schedule is not None:
+            best = schedule
+            best_scheduler = backend.name
+            search.incumbent = dict(schedule.starts)
+            hi = mid
+        else:
+            lo = mid + 1
 
     validate_periodic_schedule(best)
     stats = SolveStats(
@@ -323,7 +314,6 @@ def schedule_throughput(
         schedule=best,
         stats=stats,
         probes=probes,
-        pool_counters=pool.counters(),
         scheduler=best_scheduler,
         degraded=search.degraded,
     )

@@ -37,8 +37,8 @@ result store), :mod:`~repro.service.queue` (priority queue, coalescing,
 429 backpressure), :mod:`~repro.service.server` /
 :mod:`~repro.service.client` (endpoints + typed client),
 :mod:`~repro.service.metrics` (counters and latency histograms at
-``/metrics``), :mod:`~repro.service.worker` (process-pool entry with
-cross-process layer-solve-cache warm starts).  CLI verbs: ``serve``,
+``/metrics``), :mod:`~repro.service.worker` (process-pool entry that
+solves like a direct run).  CLI verbs: ``serve``,
 ``submit``, ``jobs``, ``chaos``; ``table2``/``table3`` accept
 ``--via-server``.
 """

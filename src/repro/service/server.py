@@ -45,7 +45,6 @@ from urllib.parse import parse_qs, urlparse
 
 from ..errors import SerializationError, ServiceError
 from ..hls import SynthesisSpec, fingerprint_run
-from ..hls.cache import LayerSolveCache
 from ..io.json_io import assay_from_json, spec_from_json, spec_to_json
 from .journal import JobJournal
 from .lease import FleetCoordinator
@@ -77,11 +76,6 @@ class ServerConfig:
     store_capacity: int = 256
     #: default per-job wall-clock budget, seconds (request may lower it).
     job_timeout: float = 900.0
-    #: ship layer-solve-cache exports to workers (cross-process warm
-    #: starts) and merge their exports back.
-    share_cache: bool = True
-    #: most-recently-used cache entries shipped per job.
-    cache_export_limit: int = 256
     #: enable the ``debug-crash`` test method (kills a worker mid-job).
     allow_debug: bool = False
     #: durable job journal directory; ``None`` derives ``<store_dir>/
@@ -170,7 +164,6 @@ class SynthesisServer:
         self.metrics.gauge("queue_depth", lambda: self.queue.depth)
         self.metrics.gauge("jobs_running", lambda: self._running)
         self.metrics.gauge("store_entries", lambda: len(self.store))
-        self.metrics.gauge("shared_cache_entries", lambda: len(self._cache))
         if self.fleet is not None:
             self.metrics.gauge(
                 "lease_state", lambda: self.fleet.lease.state
@@ -181,10 +174,6 @@ class SynthesisServer:
             self.metrics.gauge(
                 "lease_takeovers", lambda: self.fleet.lease.takeovers
             )
-        #: cross-job layer-solve cache (canonical entries, see hls/cache).
-        self._cache = LayerSolveCache(
-            capacity=max(1024, self.config.cache_export_limit)
-        )
         self._pool: ProcessPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -415,11 +404,7 @@ class SynthesisServer:
             "queue_wait_seconds", max(0.0, time.time() - job.submitted_at)
         )
         try:
-            request = dict(job.request)
-            if self.config.share_cache and request.get("method") == "hls":
-                request["cache"] = self._cache.export_entries(
-                    limit=self.config.cache_export_limit
-                )
+            request = job.request
             timeout = min(
                 job.timeout or self.config.job_timeout,
                 self.config.job_timeout,
@@ -477,9 +462,7 @@ class SynthesisServer:
         if request.get("method") not in ("hls", "conventional"):
             return False
         loop = asyncio.get_running_loop()
-        degraded_request = {
-            key: value for key, value in request.items() if key != "cache"
-        } | {"degraded": True}
+        degraded_request = request | {"degraded": True}
         try:
             outcome = await asyncio.wait_for(
                 loop.run_in_executor(
@@ -494,7 +477,7 @@ class SynthesisServer:
             return False
         if not outcome or outcome[0] != "ok":
             return False
-        _tag, payload, _export = outcome
+        _tag, payload = outcome
         payload["degraded"] = True
         self.queue.finish(job, payload, source="degraded")
         self.journal.record_finished(job)
@@ -509,9 +492,7 @@ class SynthesisServer:
             self.journal.record_failed(job)
             self.metrics.inc("jobs_failed")
             return
-        _tag, payload, cache_export = outcome
-        if self.config.share_cache and cache_export:
-            self._cache.import_entries(cache_export)
+        _tag, payload = outcome
         # Store first, then journal: a crash in between replays the job,
         # finds the store entry, and completes it immediately.
         self.store.put(job.fingerprint, payload)
@@ -775,7 +756,6 @@ class SynthesisServer:
         if segments == ["metrics"] and method == "GET":
             snapshot = self.metrics.snapshot() | {
                 "store": self.store.counters(),
-                "solve_cache": self._cache.counters(),
                 "journal": self.journal.counters(),
             }
             if self.fleet is not None:

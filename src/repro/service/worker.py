@@ -3,13 +3,6 @@
 The parent ships a small picklable request, the worker returns a tagged
 tuple, and *all* expected failures travel as data — a worker never lets a
 :class:`~repro.errors.ReproError` escape as a pickled traceback.
-
-The request also carries an optional export of the parent's
-:class:`~repro.hls.cache.LayerSolveCache` (canonical, uid-free entries).
-The worker imports it before solving and returns its own export, so
-layer solves warm-start across *processes*: a re-submission of a similar
-assay replays earlier layer solves even though every job may land on a
-different pool worker.
 """
 
 from __future__ import annotations
@@ -19,7 +12,6 @@ import os
 from typing import Any
 
 from ..errors import ReproError
-from ..hls.cache import LayerSolveCache
 
 #: Request key enabling the crash hook below.
 _DEBUG_CRASH = "debug-crash"
@@ -34,12 +26,11 @@ def _certificate(value: "float | None") -> "float | None":
 
 
 def run_job(request: dict[str, Any]) -> tuple:
-    """Solve one synthesis job; returns ``("ok", payload, cache_export)``
-    or ``("error", kind, message)``.
+    """Solve one synthesis job; returns ``("ok", payload)`` or
+    ``("error", kind, message)``.
 
     ``request`` keys: ``assay`` (assay JSON), ``spec`` (spec JSON or
-    None), ``method`` ("hls" | "conventional"), ``cache`` (entries from
-    :meth:`LayerSolveCache.export_entries` or None), ``deterministic``
+    None), ``method`` ("hls" | "conventional"), ``deterministic``
     (bool, default True), ``degraded`` (bool: re-run after a wall-clock
     timeout — the spec is pinned to the LP-bound scheduler via
     :func:`repro.hls.backends.degraded_spec`, so the payload carries a
@@ -68,15 +59,12 @@ def run_job(request: dict[str, Any]) -> tuple:
             from ..hls.backends import degraded_spec
 
             spec = degraded_spec(spec)
-        cache = LayerSolveCache(capacity=spec.solve_cache_capacity)
-        if request.get("cache"):
-            cache.import_entries(request["cache"])
 
         method = request.get("method", "hls")
         if method == "conventional":
             result = synthesize_conventional(assay, spec)
         elif method == "hls":
-            result = synthesize(assay, spec, cache=cache)
+            result = synthesize(assay, spec)
         else:
             return ("error", "bad-request", f"unknown method {method!r}")
 
@@ -135,7 +123,7 @@ def run_job(request: dict[str, Any]) -> tuple:
             )
         if degraded:
             payload["degraded"] = True
-        return ("ok", payload, cache.export_entries())
+        return ("ok", payload)
     except ReproError as exc:
         return ("error", "synthesis-failed", str(exc))
     except (KeyError, TypeError, ValueError) as exc:

@@ -109,7 +109,7 @@ class TestDegradedCertificate:
             "method": "hls",
             "degraded": True,
         }
-        tag, payload, _cache = run_job(body)
+        tag, payload = run_job(body)
         assert tag == "ok"
         assert payload["degraded"] is True
         quality = payload["quality"]

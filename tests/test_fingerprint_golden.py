@@ -3,9 +3,11 @@
 ``tests/data/layer_fingerprints.json`` holds, per storage mode, the
 SHA-256 over the concatenated ``fingerprint_layer_problem`` and
 ``structural_fingerprint_layer_problem`` values of every layer problem a
-greedy synthesis of one generator assay poses.  Cache keys travel between
-processes (``LayerSolveCache.export_entries``/``import_entries``), so a
-key that changes by one byte silently splits the shared cache.
+greedy synthesis of one generator assay poses.  The keys stay inside one
+process, but a rewrite of the fingerprinting (e.g. an incremental one)
+must still produce them byte for byte; the keys also share ``_spec_token``
+with the persisted store keys locked by
+``tests/test_run_fingerprint_golden.py``.
 
 Each case runs in a fresh interpreter with ``PYTHONHASHSEED=0``, like
 ``tests/test_greedy_golden.py``: greedy schedules of generator assays

@@ -1,6 +1,11 @@
 """Tests for the cross-pass layer-solve cache (repro.hls.cache)."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -369,59 +374,6 @@ class TestLRUBound:
         assert result.cache_counters["entries"] >= 0
 
 
-class TestExportImport:
-    def spec(self):
-        return SynthesisSpec(max_devices=6, threshold=3, time_limit=5)
-
-    def test_round_trip_replays(self):
-        spec = self.spec()
-        b = AssayBuilder("exp")
-        a = b.op("a", 3, container="chamber")
-        b.op("b", 5, container="ring", accessories=["pump"], after=[a])
-        problem = first_layer_problem(b.build(), spec)
-        source = LayerSolveCache()
-        fresh = _solve_layer(problem, spec, make_allocator())
-        source.store(problem, spec, fresh)
-
-        target = LayerSolveCache()
-        added = target.import_entries(source.export_entries())
-        assert added == 1
-        replay = target.lookup(problem, spec, make_allocator("r"))
-        assert replay is not None
-        assert structurally_equal(fresh, replay, problem)
-
-    def test_export_limit_keeps_most_recent(self):
-        spec = self.spec()
-        cache = LayerSolveCache()
-        problems = []
-        for seed in range(3):
-            assay = random_assay(3, seed=seed, indeterminate_fraction=0.0,
-                                 max_duration=8)
-            problem = first_layer_problem(assay, spec)
-            problems.append(problem)
-            cache.store(
-                problem, spec, _solve_layer(problem, spec, make_allocator())
-            )
-        limited = cache.export_entries(limit=1)
-        assert len(limited) == 1
-        target = LayerSolveCache()
-        target.import_entries(limited)
-        assert target.lookup(problems[-1], spec, make_allocator()) is not None
-
-    def test_import_is_idempotent(self):
-        spec = self.spec()
-        b = AssayBuilder("idem")
-        b.op("a", 3, container="chamber")
-        problem = first_layer_problem(b.build(), spec)
-        cache = LayerSolveCache()
-        cache.store(problem, spec, _solve_layer(problem, spec, make_allocator()))
-        entries = cache.export_entries()
-        target = LayerSolveCache()
-        assert target.import_entries(entries) == 1
-        assert target.import_entries(entries) == 0
-        assert len(target) == 1
-
-
 class TestRunFingerprint:
     def test_stable_and_sensitive(self, linear_assay, indeterminate_assay):
         from repro.hls import fingerprint_run
@@ -468,3 +420,43 @@ class TestRunFingerprint:
             spec_from_json(spec_to_json(spec)),
         )
         assert direct == wired
+
+
+#: Pass-by-pass chips of one greedy run with the layer-solve cache on and
+#: off, printed as JSON.  Greedy schedules of generator assays depend on
+#: the string hash seed, so this runs under ``PYTHONHASHSEED=0``.
+_HISTORY = """
+import json
+from repro.assays import random_assay
+from repro.hls import SynthesisSpec, synthesize
+assay = random_assay(60, seed=5, edge_probability=0.05)
+runs = {}
+for cache in (True, False):
+    spec = SynthesisSpec(max_devices=60, scheduler="greedy",
+                         improvement_threshold=-1, enable_solve_cache=cache)
+    result = synthesize(assay, spec)
+    runs[str(cache)] = {
+        "history": [(r.fixed_makespan, r.num_devices, r.num_paths)
+                    for r in result.history],
+        "chip": (result.fixed_makespan, result.num_devices),
+    }
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a cache replay is not a fresh solve: later passes diverge, "
+    "and this run stops after 4 passes instead of 5 (ROADMAP item 1)",
+)
+def test_cache_replay_matches_fresh_solve_pass_by_pass():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    run = subprocess.run(
+        [sys.executable, "-c", _HISTORY],
+        env=env, cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    runs = json.loads(run.stdout)
+    assert runs["True"]["chip"] == runs["False"]["chip"]
+    assert runs["True"]["history"] == runs["False"]["history"]

@@ -143,9 +143,7 @@ class TestWorkerPayload:
 
     def test_periodic_block_present(self, indeterminate_assay, fast_spec):
         spec = dataclasses.replace(fast_spec, throughput_mode="periodic")
-        tag, payload, _cache = run_job(
-            self._request(indeterminate_assay, spec)
-        )
+        tag, payload = run_job(self._request(indeterminate_assay, spec))
         assert tag == "ok"
         periodic = payload["periodic"]
         assert periodic["validated"] is True
@@ -157,9 +155,7 @@ class TestWorkerPayload:
     def test_periodic_block_absent_when_off(
         self, indeterminate_assay, fast_spec
     ):
-        tag, payload, _cache = run_job(
-            self._request(indeterminate_assay, fast_spec)
-        )
+        tag, payload = run_job(self._request(indeterminate_assay, fast_spec))
         assert tag == "ok"
         assert "periodic" not in payload
         assert "ii" not in payload["quality"]

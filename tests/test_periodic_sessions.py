@@ -1,4 +1,4 @@
-"""Session reuse across II probes and solver-degradation behavior."""
+"""Solver-degradation behavior of the II search."""
 
 from __future__ import annotations
 
@@ -15,55 +15,6 @@ from repro.periodic import schedule_throughput, validate_periodic_schedule
 @pytest.fixture
 def pipelined_result(indeterminate_assay, fast_spec):
     return synthesize(indeterminate_assay, fast_spec)
-
-
-class TestSessionReuse:
-    def test_probes_share_one_session(self, pipelined_result, fast_spec):
-        spec = dataclasses.replace(fast_spec, throughput_scheduler="ilp")
-        throughput = schedule_throughput(pipelined_result, spec)
-        counters = throughput.pool_counters
-        ilp_probes = [p for p in throughput.probes if p.scheduler == "ilp"]
-        # One encode, every further probe a delta re-solve on the same
-        # pooled session.
-        assert counters["created"] == 1
-        assert counters["rebuilt"] == 0
-        assert counters["reused"] == len(ilp_probes) - 1
-
-    def test_disabled_sessions_rebuild_each_probe(
-        self, pipelined_result, fast_spec
-    ):
-        spec = dataclasses.replace(
-            fast_spec,
-            throughput_scheduler="ilp",
-            enable_solver_sessions=False,
-        )
-        throughput = schedule_throughput(pipelined_result, spec)
-        counters = throughput.pool_counters
-        assert counters["created"] == 0
-        assert counters["reused"] == 0
-        assert counters["rebuilt"] == len(throughput.probes)
-
-    def test_sessions_do_not_change_the_answer(
-        self, pipelined_result, fast_spec
-    ):
-        """Delta re-solves and scratch encodes land byte-identical results."""
-        on = schedule_throughput(
-            pipelined_result,
-            dataclasses.replace(fast_spec, throughput_scheduler="ilp"),
-        )
-        off = schedule_throughput(
-            pipelined_result,
-            dataclasses.replace(
-                fast_spec,
-                throughput_scheduler="ilp",
-                enable_solver_sessions=False,
-            ),
-        )
-        assert on.ii == off.ii
-        assert on.schedule.starts == off.schedule.starts
-        assert [(p.ii, p.feasible) for p in on.probes] == [
-            (p.ii, p.feasible) for p in off.probes
-        ]
 
 
 class TestDegradation:
@@ -83,8 +34,6 @@ class TestDegradation:
         assert throughput.degraded
         assert throughput.ii <= throughput.base_makespan
         validate_periodic_schedule(throughput.schedule)
-        # The pool never got a working session.
-        assert throughput.pool_counters["created"] == 0
 
     def test_explicit_ilp_scheduler_surfaces_the_error(
         self, pipelined_result, fast_spec, monkeypatch

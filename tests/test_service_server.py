@@ -63,7 +63,6 @@ class TestEndpoints:
         assert "counters" in metrics
         assert "histograms" in metrics
         assert "store" in metrics
-        assert "solve_cache" in metrics
         assert metrics["workers"]["pool_size"] == 2
 
     def test_unknown_route_404(self, client):

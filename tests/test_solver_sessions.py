@@ -76,17 +76,8 @@ class TestModelMutation:
         seen.append(m.revision)
         m.add(x - y <= 3, name="extra")
         seen.append(m.revision)
-        m.remove_constraint("extra")
-        seen.append(m.revision)
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
-
-    def test_remove_named_constraint_twice_raises(self):
-        m, x, y = self.build()
-        m.remove_constraint("cover")
-        assert not m.has_constraint("cover")
-        with pytest.raises(ModelError):
-            m.remove_constraint("cover")
 
     def test_unknown_constraint_lookup_raises(self):
         m, _, _ = self.build()
@@ -224,11 +215,6 @@ class TestSolverSessions:
         delta.set_coefficient("weight", xs[2], 1.0)
         delta.add(xs[0] + xs[1] <= 1, name="pick_one")
         session.apply(delta)
-        assert forms_equal(session._form(), m.to_standard_form())
-        # Row removal re-indexes the cached extraction.
-        removal = ModelDelta()
-        removal.remove("pick_one")
-        session.apply(removal)
         assert forms_equal(session._form(), m.to_standard_form())
         session.close()
 
@@ -393,83 +379,3 @@ class TestLayerDelta:
         pool.acquire(layer_problem(durations=(1, 2, 3)), spec)
         assert len(pool) == 1
         assert pool.evictions == 1
-
-
-# ---------------------------------------------------------------------------
-# Contention fixture
-# ---------------------------------------------------------------------------
-
-
-def contention_problem(n=3, duration=4):
-    """n identical ops, no edges, one free slot: all share one device, so
-    every pair is a conflict group the solver must sequence."""
-    from repro.operations import Fixed, Operation
-
-    ops = [Operation(f"c{i}", Fixed(duration)) for i in range(n)]
-    return LayerProblem(
-        layer_index=0,
-        ops=ops,
-        in_layer_edges=[],
-        edge_transport={},
-        release={op.uid: 0 for op in ops},
-        fixed_devices=[],
-        free_slots=1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Warm-start objective cutoff
-# ---------------------------------------------------------------------------
-
-
-class TestWarmCutoff:
-    def spec(self, **kwargs):
-        kwargs.setdefault("max_devices", 4)
-        kwargs.setdefault("time_limit", 10.0)
-        return SynthesisSpec(**kwargs)
-
-    def test_cutoff_preserves_optimum_and_leaves_model_canonical(self):
-        spec = self.spec(warm_cutoff=True)
-        layer_model = build_layer_model(contention_problem(), spec)
-        rows_before = len(layer_model.model.constraints)
-        plain = _run_layer_solve(
-            layer_model, None, self.spec()  # cutoff off, no warm start
-        )
-        assert plain.status is SolveStatus.OPTIMAL
-        # Re-solve the same model under a cutoff at its own optimum: the
-        # bound is achievable, so the optimum survives the cut.
-        bounded = _run_layer_solve(
-            layer_model, None, spec, warm_start=plain.values
-        )
-        assert bounded.status is SolveStatus.OPTIMAL
-        assert bounded.objective == pytest.approx(plain.objective)
-        # The transient cutoff row is gone afterwards.
-        assert not layer_model.model.has_constraint("warm_cutoff")
-        assert len(layer_model.model.constraints) == rows_before
-
-    def test_cutoff_row_flows_through_session(self):
-        spec = self.spec(warm_cutoff=True)
-        pool = SessionPool()
-        session = pool.acquire(contention_problem(), spec)
-        plain = _run_layer_solve(session.layer_model, session.solver, spec)
-        bounded = _run_layer_solve(
-            session.layer_model, session.solver, spec, warm_start=plain.values
-        )
-        assert bounded.objective == pytest.approx(plain.objective)
-        assert not session.layer_model.model.has_constraint("warm_cutoff")
-        pool.close()
-
-    def test_cutoff_participates_in_solve_fingerprint(self):
-        from repro.hls.cache import _spec_token
-
-        base = self.spec()
-        assert _spec_token(base) != _spec_token(self.spec(warm_cutoff=True))
-
-    def test_end_to_end_with_cutoff_validates(self, linear_assay, fast_spec):
-        import dataclasses
-
-        from repro.hls import synthesize
-
-        spec = dataclasses.replace(fast_spec, warm_cutoff=True, max_iterations=2)
-        result = synthesize(linear_assay, spec)
-        result.validate()
