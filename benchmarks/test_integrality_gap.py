@@ -43,7 +43,7 @@ def _case_rows(case: int) -> dict:
     greedy = create_scheduler("greedy")
     approx = create_scheduler("approx-lp")
 
-    state = PassState()
+    state = PassState(context.layer_edges)
     rows = []
     for layer in context.layering.layers:
         problem = prepare_layer_problem(
@@ -103,7 +103,7 @@ def test_approx_lp_layer_throughput(benchmark):
     layer = context.layering.layers[0]
     problem = prepare_layer_problem(
         context.assay, context.layering, SPEC, context.transport,
-        PassState(), layer, resynthesis=False,
+        PassState(context.layer_edges), layer, resynthesis=False,
     )
     approx = create_scheduler("approx-lp")
     result = benchmark(

@@ -9,7 +9,7 @@ cycle detection.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Container, Hashable, Iterable, Iterator
 from typing import TypeVar
 
 from ..errors import CycleError, GraphError
@@ -140,9 +140,15 @@ class DiGraph:
         """Nodes with no successors."""
         return [n for n in self._succ if not self._succ[n]]
 
-    def descendants(self, node: Hashable) -> set[Hashable]:
-        """All nodes reachable from ``node`` (excluding ``node``)."""
-        return self._reach(node, self._succ)
+    def descendants(
+        self, node: Hashable, skip: Container[Hashable] = frozenset()
+    ) -> set[Hashable]:
+        """All nodes reachable from ``node`` (excluding ``node``).
+
+        Nodes in ``skip`` are treated as absent: the search neither
+        returns them nor passes through them.
+        """
+        return self._reach(node, self._succ, skip)
 
     def ancestors(self, node: Hashable) -> set[Hashable]:
         """All nodes that can reach ``node`` (excluding ``node``)."""
@@ -162,14 +168,17 @@ class DiGraph:
             raise GraphError(f"unknown node {node!r}")
 
     def _reach(
-        self, node: Hashable, adjacency: dict[Hashable, set[Hashable]]
+        self,
+        node: Hashable,
+        adjacency: dict[Hashable, set[Hashable]],
+        skip: Container[Hashable] = frozenset(),
     ) -> set[Hashable]:
         self._require(node)
         seen: set[Hashable] = set()
         frontier = deque(adjacency[node])
         while frontier:
             current = frontier.popleft()
-            if current in seen:
+            if current in seen or current in skip:
                 continue
             seen.add(current)
             frontier.extend(adjacency[current] - seen)

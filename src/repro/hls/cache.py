@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..devices.device import GeneralDevice
 from ..ilp import SolveStats
@@ -45,6 +46,39 @@ def _device_token(device: GeneralDevice) -> tuple:
         tuple(sorted(device.accessories)),
         device.signature,
     )
+
+
+def _cached_token(device: GeneralDevice) -> tuple[tuple, str]:
+    """``_device_token(device)`` and its repr, computed once per device
+    object.
+
+    Devices are frozen, so the pair never goes stale; it is kept in the
+    instance dict, as :func:`functools.cached_property` would keep it.
+    """
+    try:
+        return device.__dict__["_cache_token"]
+    except KeyError:
+        token = _device_token(device)
+        pair = device.__dict__["_cache_token"] = (token, repr(token))
+        return pair
+
+
+def _tuple_repr(parts: list[str]) -> str:
+    """``repr`` of a tuple whose items have the reprs ``parts``."""
+    if len(parts) == 1:
+        return "(" + parts[0] + ",)"
+    return "(" + ", ".join(parts) + ")"
+
+
+@lru_cache(maxsize=16)
+def _int_tables(size: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``repr(i)`` for ``i < size``, and each ``i``'s rank in the
+    lexicographic order of those reprs (so ranks compare like reprs)."""
+    reprs = tuple(repr(i) for i in range(size))
+    rank = [0] * size
+    for position, i in enumerate(sorted(range(size), key=reprs.__getitem__)):
+        rank[i] = position
+    return reprs, tuple(rank)
 
 
 def _spec_token(spec: SynthesisSpec) -> tuple:
@@ -199,19 +233,13 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
     uids are replaced by their list position, so renaming the inventory
     between passes does not break matching.
     """
-    canon = {d.uid: i for i, d in enumerate(problem.fixed_devices)}
-    # A path's two ends are ordered by the reprs of their references.
-    canon_repr = {uid: (i, repr(i)) for uid, i in canon.items()}
+    fixed = problem.fixed_devices
+    canon = {d.uid: i for i, d in enumerate(fixed)}
 
     def canon_uid(uid: str):
         # Unknown uids (never the case for well-formed problems) degrade to
         # the raw string: correct, merely less shareable.
         return canon.get(uid, uid)
-
-    def canon_path(a: str, b: str) -> tuple:
-        ref_a, repr_a = canon_repr.get(a) or (a, repr(a))
-        ref_b, repr_b = canon_repr.get(b) or (b, repr(b))
-        return (ref_a, ref_b) if repr_a <= repr_b else (ref_b, ref_a)
 
     ops_token = tuple(
         (
@@ -229,15 +257,11 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
         )
     )
     release_token = tuple(sorted(problem.release.items()))
-    devices_token = tuple(_device_token(d) for d in problem.fixed_devices)
     incoming_token = _sorted_token(
         (canon_uid(parent), child) for parent, child in problem.incoming
     )
     outgoing_token = _sorted_token(
         (parent, canon_uid(child)) for parent, child in problem.outgoing
-    )
-    paths_token = _sorted_token(
-        canon_path(a, b) for a, b in problem.existing_paths
     )
     storage_token = (
         _sorted_token(
@@ -249,21 +273,54 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
             for (parent, dev), weight in problem.storage_out.items()
         ),
     )
-    payload = (
-        "layer-solve-v1",
-        problem.layer_index,
-        ops_token,
-        edges_token,
-        release_token,
-        devices_token,
-        problem.free_slots,
-        incoming_token,
-        outgoing_token,
-        paths_token,
-        storage_token,
-        _spec_token(spec),
+    # The reprs of the payload tuple's items: the devices and paths tokens
+    # are the bulk and are built from cached reprs.
+    payload = [
+        repr("layer-solve-v1"),
+        repr(problem.layer_index),
+        repr(ops_token),
+        repr(edges_token),
+        repr(release_token),
+        _tuple_repr([_cached_token(d)[1] for d in fixed]),
+        repr(problem.free_slots),
+        repr(incoming_token),
+        repr(outgoing_token),
+        _paths_repr(problem.existing_paths, canon),
+        repr(storage_token),
+        repr(_spec_token(spec)),
+    ]
+    return hashlib.sha256(_tuple_repr(payload).encode()).hexdigest()
+
+
+def _paths_repr(paths, canon: dict[str, int]) -> str:
+    """``repr`` of the canonical paths token of a layer problem.
+
+    Each path becomes the pair of its ends' fixed-device positions, the
+    end with the lexicographically smaller ``repr`` first, and the pairs
+    are sorted.
+    """
+    # Tables sized to a power of two, so few sizes are ever cached.
+    size = 1 << max(canon.values(), default=0).bit_length()
+    reprs, rank = _int_tables(size)
+    try:
+        codes = []
+        for a, b in paths:
+            i, j = canon[a], canon[b]
+            codes.append(i * size + j if rank[i] <= rank[j] else j * size + i)
+    except KeyError:
+        return repr(_sorted_token(_canon_path(a, b, canon) for a, b in paths))
+    codes.sort()
+    return _tuple_repr(
+        [f"({reprs[c // size]}, {reprs[c % size]})" for c in codes]
     )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _canon_path(a: str, b: str, canon: dict[str, int]) -> tuple:
+    """One path's canonical pair when an end may be an unknown uid (kept
+    as its raw string)."""
+    ref_a = canon.get(a, a)
+    ref_b = canon.get(b, b)
+    return (ref_a, ref_b) if repr(ref_a) <= repr(ref_b) else (ref_b, ref_a)
 
 
 def structural_fingerprint_layer_problem(
@@ -291,7 +348,7 @@ def structural_fingerprint_layer_problem(
         for op in problem.ops
     )
     devices_token = tuple(
-        (d.uid, _device_token(d)) for d in problem.fixed_devices
+        (d.uid, _cached_token(d)[0]) for d in problem.fixed_devices
     )
     payload = (
         "layer-session-v1",
@@ -376,7 +433,7 @@ def encode_layer_result(
 
     return _CachedSolve(
         placements=tuple(placements),
-        new_devices=tuple(_device_token(d) for d in result.new_devices),
+        new_devices=tuple(_cached_token(d)[0] for d in result.new_devices),
         objective=result.objective,
         solver_status=result.solver_status,
         solver_runtime=result.solver_runtime,

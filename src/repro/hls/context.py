@@ -12,7 +12,9 @@ cache, or binding rule up front.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..devices.device import GeneralDevice
 from ..layering import LayeringResult
@@ -22,7 +24,11 @@ from .decode import LayerSolveResult
 from .schedule import HybridSchedule
 from .session import SessionPool
 from .spec import SynthesisSpec
-from .transport import TransportEstimator
+from .transport import TransportEstimator, path_key
+
+if TYPE_CHECKING:
+    from ..storage import StoragePlan
+    from .pipeline import LayerEdges
 
 
 class UidAllocator:
@@ -43,17 +49,68 @@ class UidAllocator:
 
 
 class PassState:
-    """State of one synthesis pass over all layers."""
+    """State of one synthesis pass over all layers.
 
-    def __init__(self) -> None:
+    ``layer_edges`` is the layering's edge index
+    (:func:`repro.hls.pipeline.layer_edge_index`), shared by every pass;
+    a state without one can hold results but not bind layers.
+    """
+
+    def __init__(
+        self, layer_edges: Mapping[int, LayerEdges] | None = None
+    ) -> None:
+        self.layer_edges = layer_edges or {}
         self.devices: dict[str, GeneralDevice] = {}
         self.born: dict[str, int] = {}
         self.results: dict[int, LayerSolveResult] = {}
         self.binding: dict[str, str] = {}
+        #: path key -> number of assay edges whose ends ``binding`` maps
+        #: onto that pair of distinct devices.  Changed only by
+        #: :meth:`bind_layer`, so it always matches ``binding``.
+        self.path_counts: dict[tuple[str, str], int] = {}
         #: per-edge transportation estimates this pass was built with.
         self.transport_snapshot: dict[tuple[str, str], int] = {}
         #: frozen estimator state matching ``transport_snapshot``.
         self.transport_estimator: TransportEstimator | None = None
+        #: this pass's storage plan, set when the pass loop records the
+        #: pass (``None`` when ``storage_mode`` is ``off``).
+        self.storage_plan: StoragePlan | None = None
+
+    def continued(self) -> PassState:
+        """A new state starting from this one's devices and binding."""
+        state = PassState(self.layer_edges)
+        state.devices = dict(self.devices)
+        state.born = dict(self.born)
+        state.binding = dict(self.binding)
+        state.path_counts = dict(self.path_counts)
+        return state
+
+    def bind_layer(self, layer_index: int, binding: dict[str, str]) -> None:
+        """Bind layer ``layer_index``'s ops, keeping ``path_counts`` in
+        step: only the layer's own edges can change their path."""
+        counts = self.path_counts
+        for key, count in self.layer_paths(layer_index).items():
+            if counts[key] == count:
+                del counts[key]
+            else:
+                counts[key] -= count
+        self.binding.update(binding)
+        for key, count in self.layer_paths(layer_index).items():
+            counts[key] = counts.get(key, 0) + count
+
+    def layer_paths(self, layer_index: int) -> dict[tuple[str, str], int]:
+        """The part of ``path_counts`` due to layer ``layer_index``'s
+        edges (in-layer, incoming and outgoing)."""
+        counts: dict[tuple[str, str], int] = {}
+        binding = self.binding
+        for parent, child in self.layer_edges[layer_index].touching:
+            device_a = binding.get(parent)
+            device_b = binding.get(child)
+            if device_a is None or device_b is None or device_a == device_b:
+                continue
+            key = path_key(device_a, device_b)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     @property
     def fixed_makespan(self) -> int:
@@ -140,6 +197,8 @@ class SynthesisContext:
 
     # -- populated by the pipeline stages --------------------------------
     layering: LayeringResult | None = None
+    #: the layering's edge index (``pipeline.layer_edge_index``).
+    layer_edges: dict[int, LayerEdges] | None = None
     history: list = field(default_factory=list)
     current: PassState | None = None
     best: PassState | None = None

@@ -24,7 +24,7 @@ replaceable object.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from ..devices.device import GeneralDevice
@@ -37,7 +37,7 @@ from .decode import LayerSolveResult
 from .milp_model import LayerProblem
 from .schedule import LayerSchedule
 from .spec import SynthesisSpec
-from .transport import TransportEstimator, path_key
+from .transport import TransportEstimator
 
 if TYPE_CHECKING:
     from .session import SessionPool
@@ -47,6 +47,43 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Layer-problem construction
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LayerEdges:
+    """One layer's dependency edges, each tuple in ``assay.edges`` order."""
+
+    #: both ends in the layer.
+    inner: tuple[tuple[str, str], ...]
+    #: parent in an earlier layer, child in this one.
+    incoming: tuple[tuple[str, str], ...]
+    #: parent in this layer, child in a later one.
+    outgoing: tuple[tuple[str, str], ...]
+
+    @property
+    def touching(self) -> tuple[tuple[str, str], ...]:
+        """Every edge with an end in the layer."""
+        return self.inner + self.incoming + self.outgoing
+
+
+def layer_edge_index(
+    assay: Assay, layering: LayeringResult
+) -> dict[int, LayerEdges]:
+    """Every layer's :class:`LayerEdges`, from one pass over the edges."""
+    layer_of = layering.layer_of
+    groups = {layer.index: ([], [], []) for layer in layering.layers}
+    for edge in assay.edges:
+        parent_layer = layer_of[edge[0]]
+        child_layer = layer_of[edge[1]]
+        if parent_layer == child_layer:
+            groups[parent_layer][0].append(edge)
+        else:
+            groups[child_layer][1].append(edge)
+            groups[parent_layer][2].append(edge)
+    return {
+        index: LayerEdges(tuple(inner), tuple(incoming), tuple(outgoing))
+        for index, (inner, incoming, outgoing) in groups.items()
+    }
 
 
 def prepare_layer_problem(
@@ -60,14 +97,19 @@ def prepare_layer_problem(
 ) -> LayerProblem:
     """Build layer ``layer``'s solve problem from the evolving pass state.
 
+    The layer's edges come from ``state.layer_edges`` and its existing
+    paths from ``state.path_counts``, so the work scales with the layer
+    (plus one copy of the path set), not with the assay.
+
     On re-synthesis passes this also *mutates* ``state``: the layer's own
     previously-born devices are dropped (unless another layer's current
     binding still references them), realizing the paper's ``D \\ D'_i``
     inheritance.
     """
+    edges = state.layer_edges[layer.index]
     uids = set(layer.uids)
     ops = [assay[uid] for uid in layer.uids]
-    in_edges = [(p, c) for p, c in assay.edges if p in uids and c in uids]
+    in_edges = list(edges.inner)
     edge_transport = {e: transport.edge_time(*e) for e in in_edges}
     release = {
         uid: transport.release_time(uid, within=uids) for uid in layer.uids
@@ -92,17 +134,14 @@ def prepare_layer_problem(
     fixed_devices = list(state.devices.values())
     free_slots = max(0, spec.max_devices - len(fixed_devices))
 
-    incoming = [
-        (state.binding[p], c)
-        for p, c in assay.edges
-        if c in uids and p not in uids and p in state.binding
-    ]
-    outgoing = [
-        (p, state.binding[c])
-        for p, c in assay.edges
-        if p in uids and c not in uids and c in state.binding
-    ]
-    existing_paths = paths_excluding_layer(assay, state.binding, uids)
+    binding = state.binding
+    incoming = [(binding[p], c) for p, c in edges.incoming if p in binding]
+    outgoing = [(p, binding[c]) for p, c in edges.outgoing if c in binding]
+    # Paths already implied by edges not touching this layer.
+    existing_paths = set(state.path_counts)
+    for key, count in state.layer_paths(layer.index).items():
+        if state.path_counts[key] == count:
+            existing_paths.discard(key)
 
     # Storage pressure (extension): each cross-layer edge whose endpoints
     # bind apart will have to buffer its reagent once per spanned layer
@@ -114,14 +153,15 @@ def prepare_layer_problem(
     pressure = spec.storage_pressure_weight()
     if pressure > 0:
         layer_of = layering.layer_of
-        for p, c in assay.edges:
-            if c in uids and p not in uids and p in state.binding:
+        for p, c in edges.incoming:
+            if p in binding:
                 span = layer.index - layer_of[p]
-                key = (state.binding[p], c)
+                key = (binding[p], c)
                 storage_in[key] = storage_in.get(key, 0.0) + pressure * span
-            elif p in uids and c not in uids and c in state.binding:
+        for p, c in edges.outgoing:
+            if c in binding:
                 span = layer_of[c] - layer.index
-                key = (p, state.binding[c])
+                key = (p, binding[c])
                 storage_out[key] = storage_out.get(key, 0.0) + pressure * span
 
     return LayerProblem(
@@ -148,22 +188,7 @@ def apply_layer_result(
     for device in result.new_devices:
         state.devices[device.uid] = device
         state.born[device.uid] = layer_index
-    state.binding.update(result.binding)
-
-
-def paths_excluding_layer(
-    assay: Assay, binding: dict[str, str], layer_uids: set[str]
-) -> set[tuple[str, str]]:
-    """Paths already implied by edges not touching the current layer."""
-    paths: set[tuple[str, str]] = set()
-    for parent, child in assay.edges:
-        if parent in layer_uids or child in layer_uids:
-            continue
-        if parent in binding and child in binding:
-            a, b = binding[parent], binding[child]
-            if a != b:
-                paths.add(path_key(a, b))
-    return paths
+    state.bind_layer(layer_index, result.binding)
 
 
 def rebase_warm_result(
@@ -244,6 +269,7 @@ class LayeringStage:
 
     def run(self, context: SynthesisContext) -> None:
         context.layering = layer_assay(context.assay, context.spec.threshold)
+        context.layer_edges = layer_edge_index(context.assay, context.layering)
 
 
 class TransportRefineStage:
@@ -384,13 +410,13 @@ class PassLoop:
         spec = context.spec
         timings = {"prepare": 0.0, "solve": 0.0, "apply": 0.0}
 
-        state = PassState()
+        state = (
+            PassState(context.layer_edges)
+            if previous is None
+            else previous.continued()
+        )
         state.transport_snapshot = context.transport.snapshot()
         state.transport_estimator = context.transport.fork()
-        if previous is not None:
-            state.devices = dict(previous.devices)
-            state.born = dict(previous.born)
-            state.binding = dict(previous.binding)
 
         for layer in context.layering.layers:
             stamp = time.monotonic()
@@ -444,7 +470,7 @@ class PassLoop:
         from .synthesizer import IterationRecord
 
         schedule = state.schedule()
-        plan = self.storage_plan.run(context, state)
+        plan = state.storage_plan = self.storage_plan.run(context, state)
         return IterationRecord(
             index=index,
             fixed_makespan=state.fixed_makespan,
@@ -478,7 +504,6 @@ class ValidateStage:
         best = context.best
         schedule = best.schedule()
         paths = schedule.transportation_paths(context.assay.edges)
-        storage_plan = StoragePlanStage().run(context, best)
         result = SynthesisResult(
             assay=context.assay,
             spec=context.spec,
@@ -493,7 +518,8 @@ class ValidateStage:
             cache_counters=(
                 context.cache.counters() if context.cache is not None else {}
             ),
-            storage_plan=storage_plan,
+            # Planned when the pass loop recorded the pass.
+            storage_plan=best.storage_plan,
         )
         result.validate()
         return result

@@ -293,13 +293,6 @@ def _solve_layer(
     )
 
 
-def _paths_excluding_layer(assay, binding, layer_uids):
-    """Compatibility alias for :func:`repro.hls.pipeline.paths_excluding_layer`."""
-    from .pipeline import paths_excluding_layer
-
-    return paths_excluding_layer(assay, binding, layer_uids)
-
-
 def _rebase_warm_result(result, fixed_devices, previous_devices):
     """Compatibility alias for :func:`repro.hls.pipeline.rebase_warm_result`."""
     from .pipeline import rebase_warm_result

@@ -23,8 +23,9 @@ def dependency_based_allocation(
 
     Args:
         pool_graph: dependency graph induced on the not-yet-layered
-            operations (mutated: selected/deferred nodes are *not* removed —
-            callers slice the pool themselves from the returned set).
+            operations.  Read only: deferred operations are tracked in a
+            side set, and callers remove the layer's operations from the
+            pool themselves, using the returned set.
         indeterminate: uids of indeterminate operations in the pool.
         rng_order: deterministic pick order for the "randomly choose" step
             of the paper; defaults to sorted order so runs are reproducible.
@@ -32,8 +33,12 @@ def dependency_based_allocation(
     Returns:
         The uids allocated to this layer.
     """
-    graph = pool_graph.copy()
-    remaining_ind = {uid for uid in indeterminate if uid in graph}
+    # Picked indeterminate ops and everything below them.  The set is
+    # closed under descendants, so no path from a dead op reaches a live
+    # one: ancestors of a live op are live, and a descendant search may
+    # stop at dead ops.
+    dead: set[str] = set()
+    remaining_ind = {uid for uid in indeterminate if uid in pool_graph}
     selected_ind: list[str] = []
 
     order = rng_order or sorted(remaining_ind)
@@ -42,24 +47,18 @@ def dependency_based_allocation(
     while remaining_ind:
         chosen = None
         for uid in queue:
-            if uid not in graph or uid not in remaining_ind:
+            if uid not in remaining_ind:
                 continue
-            if not (graph.ancestors(uid) & remaining_ind):
+            if not (pool_graph.ancestors(uid) & remaining_ind):
                 chosen = uid
                 break
         if chosen is None:
             # Cannot happen on a DAG: some indeterminate op is minimal.
             chosen = next(iter(sorted(remaining_ind)))
         selected_ind.append(chosen)
-        removed = graph.descendants(chosen) | {chosen}
+        # ``chosen`` stays in the layer; its descendants leave it.
+        removed = pool_graph.descendants(chosen, skip=dead) | {chosen}
         remaining_ind -= removed
-        for uid in removed:
-            if uid == chosen:
-                continue
-            graph.remove_node(uid)
-        # ``chosen`` stays in the layer; detach it so its (already removed)
-        # descendants do not resurface.
-        graph.remove_node(chosen)
+        dead |= removed
 
-    layer = set(graph.nodes) | set(selected_ind)
-    return layer
+    return {uid for uid in pool_graph if uid not in dead} | set(selected_ind)

@@ -129,29 +129,29 @@ def layer_assay(assay: Assay, threshold: int = 10) -> LayeringResult:
     assay.validate()
 
     full_graph = assay.graph
-    pool = set(assay.uids)
-    indeterminate_all = set(assay.indeterminate_uids)
+    # The not-yet-layered operations; each layer's ops leave it.
+    pool_graph = full_graph.copy()
+    pool_ind = set(assay.indeterminate_uids)
+    rank = {uid: i for i, uid in enumerate(assay.topological_order())}
     layers: list[Layer] = []
 
-    while pool:
-        pool_graph = full_graph.subgraph(pool)
-        pool_ind = indeterminate_all & pool
+    while len(pool_graph):
         selected = dependency_based_allocation(pool_graph, pool_ind)
         kept, _evicted = resource_based_allocation(
             selected, full_graph, pool_ind, threshold
         )
         if not kept:
             raise LayeringError("layering made no progress")  # pragma: no cover
-        order = [uid for uid in assay.topological_order() if uid in kept]
+        order = sorted(kept, key=rank.__getitem__)
         layer = Layer(
             index=len(layers),
             uids=tuple(order),
-            indeterminate_uids=tuple(
-                uid for uid in order if uid in indeterminate_all
-            ),
+            indeterminate_uids=tuple(uid for uid in order if uid in pool_ind),
         )
         layers.append(layer)
-        pool -= kept
+        for uid in kept:
+            pool_graph.remove_node(uid)
+        pool_ind -= kept
 
     result = LayeringResult(assay=assay, layers=layers, threshold=threshold)
     result.validate()

@@ -18,8 +18,10 @@ from repro.hls import (
 from repro.hls.decode import LayerSolveResult
 from repro.hls.milp_model import LayerProblem
 from repro.hls.schedule import LayerSchedule, OpPlacement
-from repro.hls.synthesizer import _paths_excluding_layer, layer_cost
+from repro.hls.synthesizer import layer_cost
 from repro.operations import AssayBuilder, Fixed, Operation
+
+from .test_hls_pipeline_incremental import paths_excluding_layer
 
 
 def make_layer_result(bindings: dict[str, str], makespan_ops, new_devices=()):
@@ -115,6 +117,8 @@ class TestLayerCost:
 
 
 class TestPathsExcludingLayer:
+    """The full-scan oracle of ``test_hls_pipeline_incremental``."""
+
     def test_excludes_layer_touching_edges(self):
         b = AssayBuilder("px")
         x = b.op("x", 2)
@@ -122,7 +126,7 @@ class TestPathsExcludingLayer:
         z = b.op("z", 2, after=[y])
         assay = b.build()
         binding = {"x": "d0", "y": "d1", "z": "d2"}
-        paths = _paths_excluding_layer(assay, binding, layer_uids={"z"})
+        paths = paths_excluding_layer(assay, binding, layer_uids={"z"})
         assert paths == {("d0", "d1")}
 
     def test_unbound_ops_skipped(self):
@@ -130,7 +134,7 @@ class TestPathsExcludingLayer:
         x = b.op("x", 2)
         b.op("y", 2, after=[x])
         assay = b.build()
-        paths = _paths_excluding_layer(assay, {"x": "d0"}, layer_uids=set())
+        paths = paths_excluding_layer(assay, {"x": "d0"}, layer_uids=set())
         assert paths == set()
 
 

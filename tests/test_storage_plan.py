@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.assays import random_assay
 from repro.components import StorageReservoir, reservoirs_needed
 from repro.errors import SpecificationError, ValidationError
 from repro.hls import SynthesisSpec, synthesize
@@ -172,6 +173,33 @@ class TestPlanner:
             stress_result.storage_plan, stress_assay,
             stress_result.layering, stress_result.schedule, STRESS_SPEC,
         )
+
+
+    def test_result_reuses_the_best_pass_plan(self, monkeypatch):
+        """The result carries the plan recorded with its pass: one
+        ``plan_storage`` call per pass, none more for the result, and it
+        equals a fresh plan of the final schedule."""
+        import repro.storage
+
+        calls = []
+        original = repro.storage.plan_storage
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.storage, "plan_storage", counted)
+        assay = random_assay(
+            80, seed=5, edge_probability=0.04, indeterminate_fraction=0.15
+        )
+        spec = SynthesisSpec(
+            max_devices=80, threshold=2, scheduler="greedy",
+            storage_mode="auto", max_iterations=3, improvement_threshold=-1.0,
+        )
+        result = synthesize(assay, spec)
+        assert len(calls) == len(result.history) > 1
+        fresh = original(assay, result.layering, result.schedule, spec)
+        assert result.storage_plan == fresh
 
 
 class TestValidator:

@@ -8,10 +8,12 @@ timing.
 from __future__ import annotations
 
 from repro.assays import random_assay
+from repro.graphs import DiGraph
 from repro.hls import SynthesisSpec, synthesize
 from repro.hls import cache as cache_module
 from repro.hls import pipeline
 from repro.layering import eviction, layer_assay
+from repro.operations import Assay
 
 
 def _counting(monkeypatch, owner, name):
@@ -57,3 +59,48 @@ def test_eviction_prices_each_distinct_cut_once(monkeypatch):
     # One min cut per distinct (op, in-layer ancestors) pair; re-pricing
     # every remaining op after every eviction took 515.
     assert 0 < cuts[0] <= 40
+
+
+def test_layering_copies_the_graph_at_most_twice(monkeypatch):
+    copies = _counting(monkeypatch, DiGraph, "copy")
+    subgraphs = _counting(monkeypatch, DiGraph, "subgraph")
+    layering = layer_assay(_assay(440), threshold=3)
+    assert layering.num_layers > 1
+    # The assay's graph and one pool graph that loses each layer's ops;
+    # a subgraph plus a copy per layer took 33.
+    assert copies[0] + subgraphs[0] <= 2
+
+
+def test_greedy_synthesis_reads_assay_edges_a_bounded_number_of_times(
+    monkeypatch,
+):
+    reads = [0]
+    edges = Assay.edges
+
+    def counted(assay):
+        reads[0] += 1
+        return edges.fget(assay)
+
+    monkeypatch.setattr(Assay, "edges", property(counted))
+    spec = SynthesisSpec(max_devices=440, threshold=3, scheduler="greedy")
+    synthesize(_assay(440), spec)
+    # One edge index per layering instead of four scans per layer
+    # problem; per-layer scans took 139.
+    assert 0 < reads[0] <= 20
+
+
+def test_device_tokens_are_computed_once_per_device(monkeypatch):
+    devices = []
+    token = cache_module._device_token
+
+    def counted(device):
+        devices.append(device)  # keeps ids unique while counting
+        return token(device)
+
+    monkeypatch.setattr(cache_module, "_device_token", counted)
+    spec = SynthesisSpec(max_devices=440, threshold=3, scheduler="greedy")
+    synthesize(_assay(440), spec)
+    # Re-tokenizing every fixed device per fingerprint took 5,251 calls
+    # for 272 device objects.
+    assert devices
+    assert len(devices) == len({id(device) for device in devices})
