@@ -18,8 +18,9 @@ Run with::
 
 from repro import SynthesisSpec, synthesize
 from repro.assays import gene_expression_assay
+from repro.cyberphysical import ExecutionEngine
 from repro.io import render_gantt
-from repro.runtime import RetryModel, execute_schedule
+from repro.runtime import RetryModel
 
 
 def main() -> None:
@@ -46,16 +47,18 @@ def main() -> None:
     # Cyberphysical run: sample actual capture durations.
     print("\nsimulated runs (per-attempt capture success 53%):")
     for seed in range(3):
-        report = execute_schedule(
-            result.schedule, RetryModel(success_probability=0.53), seed=seed
-        )
+        report = ExecutionEngine(
+            result, retry_model=RetryModel(success_probability=0.53), seed=seed
+        ).run()
         retries = {
             uid: tries for uid, tries in report.attempts.items() if tries > 1
         }
+        terms = "".join(
+            f" + I_{k}={extra}m" for k, extra in report.realized_terms.items()
+        )
         print(
             f"  run {seed}: realized makespan {report.makespan}m "
-            f"(scheduled {result.fixed_makespan}m "
-            f"+ I_1={report.realized_terms.get(1, 0)}m); "
+            f"(scheduled {result.fixed_makespan}m{terms}); "
             f"retries: {retries or 'none'}"
         )
 

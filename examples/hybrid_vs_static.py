@@ -12,11 +12,10 @@ Run with::
     python examples/hybrid_vs_static.py
 """
 
-import statistics
-
 from repro import SynthesisSpec, synthesize
 from repro.assays import rtqpcr_assay
-from repro.runtime import RetryModel, execute_schedule
+from repro.experiments.robustness import simulate_makespans, static_worst_case
+from repro.runtime import RetryModel
 
 
 def main() -> None:
@@ -29,29 +28,17 @@ def main() -> None:
           f"({result.num_devices} devices)")
 
     retry = RetryModel(success_probability=0.53, max_attempts=12)
-    runs = [
-        execute_schedule(result.schedule, retry, seed=s) for s in range(200)
-    ]
-    makespans = [r.makespan for r in runs]
-
+    dist = simulate_makespans(result, retry, runs=200)
     # The static alternative must reserve worst-case slots: every capture
     # op budgeted at max_attempts * minimum duration.
-    worst_extra = 0
-    for layer in result.schedule.layers:
-        ind = [p for p in layer.placements.values() if p.indeterminate]
-        if ind:
-            worst_extra += max(
-                (retry.max_attempts - 1) * p.duration for p in ind
-            )
-    static_makespan = result.fixed_makespan + worst_extra
+    static_makespan = static_worst_case(result, retry)
 
-    print(f"\nMonte-Carlo over {len(runs)} runs:")
-    print(f"  hybrid mean makespan : {statistics.mean(makespans):8.1f}m")
-    print(f"  hybrid 95th pct      : "
-          f"{sorted(makespans)[int(0.95 * len(makespans))]:8.1f}m")
-    print(f"  hybrid worst         : {max(makespans):8.1f}m")
+    print(f"\nMonte-Carlo over {dist.runs} runs:")
+    print(f"  hybrid mean makespan : {dist.mean:8.1f}m")
+    print(f"  hybrid 95th pct      : {dist.p95:8.1f}m")
+    print(f"  hybrid worst         : {dist.worst:8.1f}m")
     print(f"  static worst-case    : {static_makespan:8.1f}m")
-    saving = 1 - statistics.mean(makespans) / static_makespan
+    saving = 1 - dist.mean / static_makespan
     print(f"\nhybrid scheduling saves {saving:.0%} of chip time on average "
           "versus worst-case static reservation.")
 

@@ -28,7 +28,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.hls` — per-layer ILP + progressive re-synthesis (3.2, 4)
 * :mod:`repro.baselines` — the modified conventional method (5)
 * :mod:`repro.assays` — the three benchmark assay reconstructions
-* :mod:`repro.runtime` — cyberphysical executor for hybrid schedules
+* :mod:`repro.runtime` — retry model, event log, valve actuation
+* :mod:`repro.cyberphysical` — the run time: closed-loop execution engine
 * :mod:`repro.experiments` — Table 2 / Table 3 harnesses
 * :mod:`repro.ilp` — self-contained MILP substrate (HiGHS + own B&B)
 """
@@ -47,7 +48,7 @@ from .hls import (
 )
 from .layering import Layer, LayeringResult, layer_assay
 from .operations import Assay, AssayBuilder, Fixed, Indeterminate, Operation
-from .runtime import RetryModel, execute_schedule
+from .runtime import RetryModel
 
 __version__ = "1.0.0"
 
@@ -73,7 +74,6 @@ __all__ = [
     "SynthesisSpec",
     "TransportProgression",
     "Weights",
-    "execute_schedule",
     "layer_assay",
     "synthesize",
     "synthesize_conventional",

@@ -1,10 +1,11 @@
 """Cyberphysical runtime: closed-loop execution with faults and recovery.
 
 The paper treats layer-to-layer transitions as real-time cyberphysical
-decisions; this package supplies the control loop the one-shot executor
-lacks.  :class:`~repro.cyberphysical.engine.ExecutionEngine` dispatches a
-hybrid schedule layer by layer against a pluggable duration sampler and an
-injected :class:`~repro.cyberphysical.faults.FaultPlan`; recovery policies
+decisions; this package is the one run time that plays a hybrid schedule.
+:class:`~repro.cyberphysical.engine.ExecutionEngine` dispatches a
+synthesized or hand-built hybrid schedule layer by layer against the
+sampled retry model and an injected
+:class:`~repro.cyberphysical.faults.FaultPlan`; recovery policies
 (:mod:`~repro.cyberphysical.policies`) escalate from in-place retries
 through spare-device rebinding to full contingency re-synthesis of the
 residual assay; :mod:`~repro.cyberphysical.campaign` runs seeded
@@ -23,13 +24,11 @@ from .campaign import (
 from .engine import (
     REASON_DEVICE_DOWN,
     REASON_EXHAUSTED,
-    DurationSampler,
     EngineReport,
     ExecutionEngine,
     RecoveryContext,
     RecoveryOutcome,
     RecoveryRecord,
-    RetrySampler,
 )
 from .faults import PERSISTENT, ActiveFaults, FaultKind, FaultPlan, FaultSpec
 from .policies import (
@@ -56,13 +55,11 @@ __all__ = [
     "RunRecord",
     "run_campaign",
     "run_one",
-    "DurationSampler",
     "EngineReport",
     "ExecutionEngine",
     "RecoveryContext",
     "RecoveryOutcome",
     "RecoveryRecord",
-    "RetrySampler",
     "REASON_DEVICE_DOWN",
     "REASON_EXHAUSTED",
     "PERSISTENT",

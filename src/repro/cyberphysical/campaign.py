@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..errors import SpecificationError
 from ..hls.synthesizer import SynthesisResult
 from ..runtime.executor import RetryModel
-from .engine import ExecutionEngine, RetrySampler
+from .engine import ExecutionEngine
 from .faults import FaultPlan
 from .policies import build_policies
 from .trace import CampaignStats, TraceRecord, aggregate_stats
@@ -102,7 +102,7 @@ def run_one(
         result,
         policies=policies,
         fault_plan=config.faults,
-        sampler=RetrySampler(config.retry_model),
+        retry_model=config.retry_model,
         seed=seed,
     )
     report = engine.run()

@@ -1,21 +1,21 @@
 """Closed-loop discrete-event execution engine.
 
-The seed executor (:mod:`repro.runtime.executor`) replays one sampled trace
-and hard-aborts every descendant layer the moment an operation fails.  This
-engine turns that open-loop replay into the control loop the paper's
-cyberphysical framing actually calls for:
+This is the run time the paper's hybrid scheduling assumes (Sec. 3): the
+fixed sub-schedule of each layer is followed literally, indeterminate
+operations retry until they succeed, and the layer-to-layer transition is a
+run-time decision taken after *observing* every operation outcome.  The
+realized span of each indeterminate layer resolves its symbolic ``I_k``
+term.  On top of that open-loop replay the engine closes the control loop:
 
-* layers are dispatched one at a time; the layer-to-layer transition is a
-  run-time decision taken after *observing* every operation outcome;
-* observation comes from a pluggable :class:`DurationSampler` (the "sensor"
-  abstraction — the default wraps the geometric
-  :class:`~repro.runtime.executor.RetryModel`);
+* attempt counts of indeterminate operations come from the geometric
+  :class:`~repro.runtime.executor.RetryModel`;
 * a :class:`~repro.cyberphysical.faults.FaultPlan` injects physical faults
   (exhausted retries, device-down, degraded-device slowdown);
 * on failure the engine consults its recovery policies in order
   (:mod:`repro.cyberphysical.policies`); a policy may absorb the fault in
   place, rebind the operation to a spare device, or splice freshly
-  re-synthesized contingency layers into the running schedule;
+  re-synthesized contingency layers into the running schedule.  Without
+  policies a failure aborts every later layer;
 * every decision is recorded as a :class:`~repro.cyberphysical.trace.TraceRecord`.
 """
 
@@ -23,45 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Protocol
 
-from ..hls.schedule import LayerSchedule, OpPlacement
+from ..errors import ReproError
+from ..hls.schedule import HybridSchedule, LayerSchedule, OpPlacement
 from ..hls.synthesizer import SynthesisResult
 from ..runtime.events import Event, EventKind, EventLog
 from ..runtime.executor import RetryModel, _assert_exclusive
 from .faults import ActiveFaults, FaultPlan
 from .trace import TraceRecord
-
-
-class DurationSampler(Protocol):
-    """Sensor feedback: realized attempt counts for indeterminate ops."""
-
-    @property
-    def max_attempts(self) -> int: ...
-
-    def sample(
-        self, placement: OpPlacement, rng: random.Random
-    ) -> tuple[int, bool]:
-        """Return (attempts, succeeded) for one execution of ``placement``."""
-        ...
-
-
-class RetrySampler:
-    """Default sampler: the geometric retry model of the seed executor."""
-
-    def __init__(self, model: RetryModel | None = None) -> None:
-        self.model = model or RetryModel()
-
-    @property
-    def max_attempts(self) -> int:
-        return self.model.max_attempts
-
-    def sample(
-        self, placement: OpPlacement, rng: random.Random
-    ) -> tuple[int, bool]:
-        if not placement.indeterminate:
-            return 1, True
-        return self.model.sample_attempts(rng)
 
 
 #: Failure reasons the policies dispatch on.
@@ -142,6 +111,10 @@ class EngineReport:
     makespan: int
     completed: bool
     layer_spans: list[tuple[int, int]]
+    #: realized length of each dispatched indeterminate layer beyond its
+    #: fixed makespan, keyed by the 1-based dispatch position (the
+    #: paper's ``I_k``).
+    realized_terms: dict[int, int]
     attempts: dict[str, int]
     failed_ops: list[str]
     aborted_layers: list[int]
@@ -161,26 +134,40 @@ class EngineReport:
 
 
 class ExecutionEngine:
-    """Dispatch a hybrid schedule layer by layer with online recovery."""
+    """Dispatch a hybrid schedule layer by layer with online recovery.
+
+    ``run`` is a :class:`SynthesisResult` or a bare :class:`HybridSchedule`.
+    A bare schedule carries no assay, spec or device inventory for the
+    recovery policies to re-plan against, so it runs without policies.
+    """
 
     def __init__(
         self,
-        result: SynthesisResult,
+        run: SynthesisResult | HybridSchedule,
         policies=(),
         fault_plan: FaultPlan | None = None,
-        sampler: DurationSampler | None = None,
         retry_model: RetryModel | None = None,
         seed: int = 0,
     ) -> None:
-        self.result = result
-        self.assay = result.assay
-        self.spec = result.spec
         self.policies = list(policies)
+        if isinstance(run, HybridSchedule):
+            if self.policies:
+                raise ReproError(
+                    "recovery policies need a SynthesisResult, "
+                    "not a bare schedule"
+                )
+            self.schedule = run
+            self.assay = self.spec = None
+            self.devices = {}
+        else:
+            self.schedule = run.schedule
+            self.assay = run.assay
+            self.spec = run.spec
+            #: live device inventory; contingency re-synthesis adds to it.
+            self.devices = dict(run.devices)
         self.fault_plan = fault_plan or FaultPlan()
-        self.sampler = sampler or RetrySampler(retry_model)
+        self.retry_model = retry_model or RetryModel()
         self.seed = seed
-        #: live device inventory; contingency re-synthesis adds to it.
-        self.devices = dict(result.devices)
         #: count of contingency splices this run (policies consult the cap).
         self.resyntheses = 0
         self._uid_counter = 0
@@ -191,6 +178,16 @@ class ExecutionEngine:
         self._uid_counter += 1
         return uid
 
+    def sample_attempts(
+        self, uid: str, rng: random.Random, faults: ActiveFaults
+    ) -> tuple[int, bool]:
+        """Observed (attempts, succeeded) of one indeterminate execution;
+        an armed exhaust fault on ``uid`` forces a failed full batch."""
+        tries, succeeded = self.retry_model.sample_attempts(rng)
+        if faults.exhausts(uid):
+            return max(tries, self.retry_model.max_attempts), False
+        return tries, succeeded
+
     # -- main loop --------------------------------------------------------
 
     def run(self) -> EngineReport:
@@ -199,11 +196,12 @@ class ExecutionEngine:
         log = EventLog()
         trace: list[TraceRecord] = []
         #: mutable work list — contingency splices rewrite the tail.
-        pending: list[LayerSchedule] = list(self.result.schedule.layers)
+        pending: list[LayerSchedule] = list(self.schedule.layers)
 
         clock = 0
         position = 0
         layer_spans: list[tuple[int, int]] = []
+        realized_terms: dict[int, int] = {}
         attempts: dict[str, int] = {}
         failed_ops: list[str] = []
         aborted_layers: list[int] = []
@@ -282,6 +280,10 @@ class ExecutionEngine:
 
             log.record(Event(layer_end, EventKind.LAYER_END, layer=layer.index))
             layer_spans.append((layer_start, layer_end))
+            if layer.has_indeterminate:
+                realized_terms[position + 1] = (
+                    layer_end - layer_start - layer.makespan
+                )
             trace.append(
                 TraceRecord(
                     self.seed,
@@ -318,6 +320,7 @@ class ExecutionEngine:
             makespan=clock,
             completed=completed,
             layer_spans=layer_spans,
+            realized_terms=realized_terms,
             attempts=attempts,
             failed_ops=failed_ops,
             aborted_layers=aborted_layers,
@@ -380,10 +383,9 @@ class ExecutionEngine:
                 placement.duration, device, position
             )
             if placement.indeterminate:
-                tries, succeeded = self.sampler.sample(placement, rng)
-                if faults.exhausts(placement.uid):
-                    tries = max(tries, self.sampler.max_attempts)
-                    succeeded = False
+                tries, succeeded = self.sample_attempts(
+                    placement.uid, rng, faults
+                )
                 attempts[placement.uid] = (
                     attempts.get(placement.uid, 0) + tries
                 )

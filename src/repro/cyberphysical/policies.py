@@ -71,10 +71,9 @@ class RetryBackoffPolicy(RecoveryPolicy):
         extra = 0
         for round_index in range(self.rounds):
             extra += self.backoff * (2**round_index)
-            tries, succeeded = engine.sampler.sample(placement, context.rng)
-            if context.faults.exhausts(placement.uid):
-                tries = max(tries, engine.sampler.max_attempts)
-                succeeded = False
+            tries, succeeded = engine.sample_attempts(
+                placement.uid, context.rng, context.faults
+            )
             extra += tries * duration
             if succeeded:
                 return RecoveryOutcome(
@@ -126,10 +125,9 @@ class RebindSparePolicy(RecoveryPolicy):
             placement.duration, spare.uid, context.position
         )
         if placement.indeterminate:
-            tries, succeeded = engine.sampler.sample(placement, context.rng)
-            if context.faults.exhausts(placement.uid):
-                tries = max(tries, engine.sampler.max_attempts)
-                succeeded = False
+            tries, succeeded = engine.sample_attempts(
+                placement.uid, context.rng, context.faults
+            )
             extra = transport + tries * duration
             if not succeeded:
                 return RecoveryOutcome(
@@ -260,8 +258,8 @@ def build_policies(names) -> list[RecoveryPolicy]:
     """Instantiate a policy chain from CLI-style names.
 
     ``"all"`` expands to the default escalation chain; ``"abort"`` (or an
-    empty selection) yields no policies — the engine then behaves like the
-    seed executor and aborts on the first unrecovered failure.
+    empty selection) yields no policies — the engine then aborts every
+    later layer on the first unrecovered failure.
     """
     chain: list[RecoveryPolicy] = []
     for name in names:

@@ -7,22 +7,22 @@ This harness quantifies the static comparison: it simulates many runs of a
 hybrid schedule under a retry model and contrasts the realized makespan
 distribution with the static worst-case reservation.
 
-Runs may fail (``on_exhausted="fail"``, or injected faults).  Failed runs
-truncate at the failing layer, so their shorter makespans are *excluded*
-from the distribution — mixing them in would bias ``mean``/``best``
-downward exactly when the chip performs worst; instead they surface as
-``failure_rate``.  Passing ``policies`` routes the simulation through the
-cyberphysical :class:`~repro.cyberphysical.engine.ExecutionEngine`, so the
-same comparison can be run under recovery policies rather than abort.
+Every run goes through the cyberphysical
+:class:`~repro.cyberphysical.engine.ExecutionEngine`, optionally under
+recovery policies and an injected fault plan.  Runs may fail
+(``on_exhausted="fail"``, or injected faults).  Failed runs truncate at the
+failing layer, so their shorter makespans are *excluded* from the
+distribution — mixing them in would bias ``mean``/``best`` downward exactly
+when the chip performs worst; instead they surface as ``failure_rate``.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
+from ..cyberphysical import ExecutionEngine, aggregate_stats, build_policies
 from ..hls.synthesizer import SynthesisResult
-from ..runtime import RetryModel, execute_schedule
+from ..runtime import RetryModel
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class MakespanDistribution:
     runs: int
     mean: float
     median: float
-    p95: float
+    p95: int
     worst: int
     best: int
     #: fraction of runs where at least one indeterminate op needed a retry.
@@ -49,35 +49,6 @@ class MakespanDistribution:
         return self.mean - self.scheduled
 
 
-def _summarize(
-    makespans: list[int],
-    runs: int,
-    retried: int,
-    failed: int,
-    scheduled: int,
-) -> MakespanDistribution:
-    ordered = sorted(makespans)
-    if ordered:
-        mean = statistics.mean(ordered)
-        median = statistics.median(ordered)
-        p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-        best, worst = ordered[0], ordered[-1]
-    else:  # every run failed — nothing to summarize.
-        mean = median = 0.0
-        p95 = best = worst = 0
-    return MakespanDistribution(
-        runs=runs,
-        mean=mean,
-        median=median,
-        p95=p95,
-        worst=worst,
-        best=best,
-        retry_rate=retried / runs,
-        scheduled=scheduled,
-        failure_rate=failed / runs,
-    )
-
-
 def simulate_makespans(
     result: SynthesisResult,
     retry_model: RetryModel | None = None,
@@ -86,69 +57,43 @@ def simulate_makespans(
     policies=None,
     fault_plan=None,
 ) -> MakespanDistribution:
-    """Run the executor ``runs`` times and summarize the makespans.
+    """Run the engine ``runs`` times (seeds ``seed, seed + 1, ...``) and
+    summarize the makespans.
 
-    With ``policies`` (a policy chain or an iterable of policy names) the
-    runs go through the closed-loop engine instead of the one-shot
-    executor, optionally under an injected ``fault_plan`` — recovered runs
-    then count as successes.
+    ``policies`` is a policy chain or an iterable of policy names, and
+    ``fault_plan`` an injected :class:`~repro.cyberphysical.FaultPlan`;
+    recovered runs count as successes.  Without either, a run aborts at
+    its first failed layer.
     """
     retry_model = retry_model or RetryModel()
-    if policies is not None or fault_plan is not None:
-        return _simulate_with_recovery(
-            result, retry_model, runs, seed, policies or (), fault_plan
-        )
-    makespans: list[int] = []
-    retried = 0
-    failed = 0
-    for k in range(runs):
-        report = execute_schedule(result.schedule, retry_model, seed=seed + k)
-        if any(tries > 1 for tries in report.attempts.values()):
-            retried += 1
-        if not report.succeeded:
-            failed += 1
-            continue
-        makespans.append(report.makespan)
-    return _summarize(makespans, runs, retried, failed, result.fixed_makespan)
-
-
-def _simulate_with_recovery(
-    result: SynthesisResult,
-    retry_model: RetryModel,
-    runs: int,
-    seed: int,
-    policies,
-    fault_plan,
-) -> MakespanDistribution:
-    from ..cyberphysical import (
-        ExecutionEngine,
-        FaultPlan,
-        RetrySampler,
-        build_policies,
-    )
-
+    policies = list(policies or ())
     if policies and all(isinstance(p, str) for p in policies):
         policies = build_policies(policies)
-    chain = list(policies)
-    makespans: list[int] = []
-    retried = 0
-    failed = 0
-    for k in range(runs):
-        engine = ExecutionEngine(
+    reports = [
+        ExecutionEngine(
             result,
-            policies=chain,
-            fault_plan=fault_plan or FaultPlan(),
-            sampler=RetrySampler(retry_model),
+            policies=policies,
+            fault_plan=fault_plan,
+            retry_model=retry_model,
             seed=seed + k,
-        )
-        report = engine.run()
-        if any(tries > 1 for tries in report.attempts.values()):
-            retried += 1
-        if not report.completed:
-            failed += 1
-            continue
-        makespans.append(report.makespan)
-    return _summarize(makespans, runs, retried, failed, result.fixed_makespan)
+        ).run()
+        for k in range(runs)
+    ]
+    stats = aggregate_stats(reports)
+    retried = sum(
+        1 for r in reports if any(tries > 1 for tries in r.attempts.values())
+    )
+    return MakespanDistribution(
+        runs=runs,
+        mean=stats.mean_makespan,
+        median=stats.median_makespan,
+        p95=int(stats.p95_makespan),
+        worst=stats.worst_makespan,
+        best=stats.best_makespan,
+        retry_rate=retried / runs,
+        scheduled=result.fixed_makespan,
+        failure_rate=stats.failure_rate,
+    )
 
 
 def static_worst_case(

@@ -1,11 +1,12 @@
-"""Hybrid-schedule runtime execution (cyberphysical integration substrate).
+"""Hybrid-schedule run-time substrate.
 
 The paper's hybrid schedules leave the completion of indeterminate
-operations to run-time decisions.  This package simulates that run time: a
-discrete-event executor plays a :class:`~repro.hls.schedule.HybridSchedule`
-against sampled actual durations, enforcing layer barriers and device
-reservations, and reports the realized makespan (resolving the symbolic
-``I_k`` terms).
+operations to run-time decisions.  This package holds what every simulated
+run shares: the :class:`RetryModel` of indeterminate operations, the
+runtime :class:`EventLog`, and the valve-actuation program of a schedule.
+The run time that plays a :class:`~repro.hls.schedule.HybridSchedule` —
+layer barriers, retries, faults and recovery, resolving the symbolic
+``I_k`` terms — is :class:`repro.cyberphysical.ExecutionEngine`.
 """
 
 from .actuation import (
@@ -15,7 +16,7 @@ from .actuation import (
     generate_control_program,
 )
 from .events import Event, EventKind, EventLog
-from .executor import ExecutionReport, RetryModel, execute_schedule
+from .executor import RetryModel
 
 __all__ = [
     "ControlProgram",
@@ -25,7 +26,5 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "ExecutionReport",
     "RetryModel",
-    "execute_schedule",
 ]

@@ -1,4 +1,4 @@
-"""Event records for the runtime executor."""
+"""Event records of a simulated hybrid-schedule run."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ _KIND_ORDER = {
 class EventLog:
     """Ordered runtime events with simple query helpers.
 
-    The executor records events per placement, not per timestamp, so the
+    The engine records events per placement, not per timestamp, so the
     raw append order interleaves timelines; :meth:`finalize` restores
     chronological order once recording is done.
     """

@@ -1,30 +1,18 @@
-"""Execute a hybrid schedule against sampled indeterminate durations.
+"""Run-time model shared by every simulated run of a hybrid schedule.
 
-The executor models exactly the run-time protocol the paper's hybrid
-scheduling assumes (Sec. 3):
-
-* inside a layer, the fixed sub-schedule is followed literally — operation
-  ``o`` starts ``placement.start`` time units after the layer began;
-* indeterminate operations run at least their minimum duration and then keep
-  retrying until success (e.g. single-cell capture has a per-attempt success
-  probability of about 53 % [11]); each retry re-runs the minimum duration;
-* the layer ends when *all* its operations — including every indeterminate
-  tail — have completed; only then does the next layer's sub-schedule begin
-  (the real-time termination decision);
-* device exclusivity is asserted throughout.
-
-The realized makespan therefore equals the schedule's fixed makespan plus
-the realized values of the symbolic ``I_k`` terms.
+:class:`RetryModel` says how indeterminate operations behave at run time
+(geometric retries, capped), and :func:`_assert_exclusive` is the defensive
+device-exclusivity check on a layer's fixed sub-schedule.  The run time
+itself — layer barriers, retries, faults and recovery — is
+:class:`repro.cyberphysical.ExecutionEngine`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SchedulingError
-from ..hls.schedule import HybridSchedule
-from .events import Event, EventKind, EventLog
 
 
 @dataclass(frozen=True)
@@ -71,123 +59,6 @@ class RetryModel:
             # The final attempt itself still has its chance.
             succeeded = rng.random() < self.success_probability
         return attempts, succeeded
-
-
-@dataclass
-class ExecutionReport:
-    """Outcome of one simulated run."""
-
-    makespan: int
-    layer_spans: list[tuple[int, int]]
-    #: realized extra time of each indeterminate layer tail, keyed by the
-    #: 1-based layer term index (the paper's I_1, I_2, ...).
-    realized_terms: dict[int, int]
-    attempts: dict[str, int]
-    log: EventLog = field(default_factory=EventLog)
-    #: indeterminate operations that exhausted their attempts (only under
-    #: ``on_exhausted="fail"``).
-    failed_ops: list[str] = field(default_factory=list)
-    #: layers that never ran because an earlier layer failed.
-    aborted_layers: list[int] = field(default_factory=list)
-
-    @property
-    def succeeded(self) -> bool:
-        return not self.failed_ops
-
-    @property
-    def total_indeterminate_extra(self) -> int:
-        return sum(self.realized_terms.values())
-
-
-def execute_schedule(
-    schedule: HybridSchedule,
-    retry_model: RetryModel | None = None,
-    seed: int = 0,
-) -> ExecutionReport:
-    """Simulate one run of ``schedule``; deterministic for a given seed."""
-    retry_model = retry_model or RetryModel()
-    rng = random.Random(seed)
-    log = EventLog()
-
-    clock = 0
-    layer_spans: list[tuple[int, int]] = []
-    realized_terms: dict[int, int] = {}
-    attempts: dict[str, int] = {}
-    failed_ops: list[str] = []
-    aborted_layers: list[int] = []
-    term_index = 0
-
-    for layer in schedule.layers:
-        if failed_ops:
-            aborted_layers.append(layer.index)
-            continue
-        layer_start = clock
-        log.record(Event(clock, EventKind.LAYER_START, layer=layer.index))
-
-        _assert_exclusive(layer)
-
-        fixed_end = layer_start
-        indeterminate_end = layer_start
-        for placement in layer.placements.values():
-            start = layer_start + placement.start
-            log.record(
-                Event(
-                    start,
-                    EventKind.OP_START,
-                    uid=placement.uid,
-                    layer=layer.index,
-                    device=placement.device_uid,
-                )
-            )
-            if placement.indeterminate:
-                tries, succeeded = retry_model.sample_attempts(rng)
-                attempts[placement.uid] = tries
-                if not succeeded:
-                    failed_ops.append(placement.uid)
-                end = start + tries * placement.duration
-                for attempt in range(1, tries):
-                    log.record(
-                        Event(
-                            start + attempt * placement.duration,
-                            EventKind.OP_RETRY,
-                            uid=placement.uid,
-                            layer=layer.index,
-                            device=placement.device_uid,
-                        )
-                    )
-                indeterminate_end = max(indeterminate_end, end)
-            else:
-                end = start + placement.duration
-                fixed_end = max(fixed_end, end)
-            log.record(
-                Event(
-                    end,
-                    EventKind.OP_END,
-                    uid=placement.uid,
-                    layer=layer.index,
-                    device=placement.device_uid,
-                )
-            )
-
-        layer_end = max(fixed_end, indeterminate_end, layer_start)
-        if layer.has_indeterminate:
-            term_index += 1
-            scheduled_end = layer_start + layer.makespan
-            realized_terms[term_index] = layer_end - scheduled_end
-        log.record(Event(layer_end, EventKind.LAYER_END, layer=layer.index))
-        layer_spans.append((layer_start, layer_end))
-        clock = layer_end
-
-    log.finalize()
-    return ExecutionReport(
-        makespan=clock,
-        layer_spans=layer_spans,
-        realized_terms=realized_terms,
-        attempts=attempts,
-        log=log,
-        failed_ops=failed_ops,
-        aborted_layers=aborted_layers,
-    )
 
 
 def _assert_exclusive(layer) -> None:

@@ -8,12 +8,11 @@ from repro.cyberphysical import (
     RebindSparePolicy,
     ResynthesisPolicy,
     RetryBackoffPolicy,
-    RetrySampler,
     build_policies,
 )
 from repro.errors import ReproError
 from repro.hls import synthesize
-from repro.runtime import RetryModel, execute_schedule
+from repro.runtime import RetryModel
 
 
 @pytest.fixture(scope="module")
@@ -41,18 +40,29 @@ def synthesized(request):
 
 
 class TestFaultFreeRuns:
-    def test_matches_seed_executor_without_faults(self, synthesized):
-        """With no faults and the same sampler the engine realizes exactly
-        the makespan of the one-shot executor."""
+    def test_fault_free_run_realizes_fixed_plus_terms(self, synthesized):
+        """Without faults a run completes, samples attempts for exactly the
+        indeterminate ops, and realizes the fixed makespan plus one realized
+        term per ``I_k`` of the schedule."""
+        schedule = synthesized.schedule
         model = RetryModel(success_probability=0.4, max_attempts=6)
+        indeterminate = {
+            uid
+            for layer in schedule.layers
+            for uid in layer.indeterminate_uids
+        }
         for seed in range(5):
-            baseline = execute_schedule(synthesized.schedule, model, seed=seed)
             report = ExecutionEngine(
-                synthesized, sampler=RetrySampler(model), seed=seed
+                synthesized, retry_model=model, seed=seed
             ).run()
-            assert report.makespan == baseline.makespan
             assert report.completed
-            assert report.attempts == baseline.attempts
+            assert set(report.attempts) == indeterminate
+            assert set(report.realized_terms) == set(
+                schedule.indeterminate_terms
+            )
+            assert report.makespan == schedule.fixed_makespan + sum(
+                report.realized_terms.values()
+            )
 
     def test_deterministic_for_seed(self, synthesized):
         plan = FaultPlan.parse("exhaust:capture0")
@@ -73,18 +83,47 @@ class TestFaultFreeRuns:
 
     def test_degrade_fault_stretches_makespan(self, synthesized):
         model = RetryModel(success_probability=1.0)
-        clean = ExecutionEngine(
-            synthesized, sampler=RetrySampler(model), seed=0
-        ).run()
+        clean = ExecutionEngine(synthesized, retry_model=model, seed=0).run()
         device = synthesized.schedule.binding["prep0"]
         slowed = ExecutionEngine(
             synthesized,
             fault_plan=FaultPlan.parse(f"slow:{device}*3"),
-            sampler=RetrySampler(model),
+            retry_model=model,
             seed=0,
         ).run()
         assert slowed.makespan > clean.makespan
         assert slowed.completed
+
+
+class TestBareSchedule:
+    def test_bare_schedule_runs_like_its_result(self, synthesized):
+        model = RetryModel(success_probability=0.4, max_attempts=6)
+        for seed in range(3):
+            bare = ExecutionEngine(
+                synthesized.schedule, retry_model=model, seed=seed
+            ).run()
+            full = ExecutionEngine(
+                synthesized, retry_model=model, seed=seed
+            ).run()
+            assert bare.makespan == full.makespan
+            assert bare.attempts == full.attempts
+            assert bare.realized_terms == full.realized_terms
+
+    @pytest.mark.parametrize("name", ["retry", "rebind", "resynth"])
+    def test_policies_need_a_result(self, synthesized, name):
+        with pytest.raises(ReproError, match="SynthesisResult"):
+            ExecutionEngine(
+                synthesized.schedule, policies=build_policies([name])
+            )
+
+    def test_bare_schedule_aborts_on_fault(self, synthesized):
+        report = ExecutionEngine(
+            synthesized.schedule,
+            fault_plan=FaultPlan.parse("exhaust:capture0"),
+            retry_model=RetryModel(max_attempts=4),
+        ).run()
+        assert not report.completed
+        assert report.failed_ops == ["capture0"]
 
 
 class TestAbortParity:

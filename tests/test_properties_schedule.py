@@ -1,10 +1,11 @@
-"""Property tests on schedule algebra and executor consistency."""
+"""Property tests on schedule algebra and engine-run consistency."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cyberphysical import ExecutionEngine
 from repro.hls.schedule import HybridSchedule, LayerSchedule, OpPlacement
-from repro.runtime import RetryModel, execute_schedule
+from repro.runtime import RetryModel
 
 
 @st.composite
@@ -39,7 +40,7 @@ def hybrid_schedules(draw):
                 clock = start + duration
         # Fix rule (14) by pushing the indeterminate op last: recompute —
         # for the property we only need makespan algebra, so relax (the
-        # executor does not enforce (14); it enforces exclusivity).
+        # engine does not enforce (14); it enforces exclusivity).
         layers.append(layer)
     return HybridSchedule(layers=layers)
 
@@ -62,9 +63,11 @@ def test_makespan_expression_consistency(sched):
 def test_executor_realizes_fixed_plus_terms(sched, seed):
     """Realized makespan == fixed makespan + realized indeterminate extras
     for every valid schedule and every seed."""
-    report = execute_schedule(
-        sched, RetryModel(success_probability=0.6, max_attempts=5), seed=seed
-    )
+    report = ExecutionEngine(
+        sched,
+        retry_model=RetryModel(success_probability=0.6, max_attempts=5),
+        seed=seed,
+    ).run()
     assert report.makespan == sched.fixed_makespan + sum(
         report.realized_terms.values()
     )

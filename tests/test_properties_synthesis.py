@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from repro.assays import random_assay
 from repro.baselines import synthesize_conventional
+from repro.cyberphysical import ExecutionEngine
 from repro.hls import SynthesisSpec, synthesize
 from repro.hls.validate import collect_violations
-from repro.runtime import RetryModel, execute_schedule
+from repro.runtime import RetryModel
 
 FAST = SynthesisSpec(
     max_devices=8, threshold=2, time_limit=5.0, max_iterations=1
@@ -79,10 +80,12 @@ def test_greedy_fallback_always_valid_and_executable(seed, num_ops, exec_seed):
     )
     result = synthesize(assay, spec)
     assert collect_violations(result) == []
-    report = execute_schedule(
-        result.schedule, RetryModel(success_probability=0.5), seed=exec_seed
+    report = ExecutionEngine(
+        result, retry_model=RetryModel(success_probability=0.5), seed=exec_seed
+    ).run()
+    assert report.makespan == result.fixed_makespan + sum(
+        report.realized_terms.values()
     )
-    assert report.makespan >= result.fixed_makespan
 
 
 @settings(max_examples=8, deadline=None,

@@ -1,12 +1,18 @@
-"""Tests for the runtime executor (repro.runtime)."""
+"""Tests for the retry model (repro.runtime) and hybrid-schedule runs on
+the execution engine (repro.cyberphysical)."""
 
 
 import pytest
 
+from repro.cyberphysical import ExecutionEngine
 from repro.errors import SchedulingError
 from repro.hls import synthesize
 from repro.hls.schedule import HybridSchedule, LayerSchedule, OpPlacement
-from repro.runtime import EventKind, RetryModel, execute_schedule
+from repro.runtime import EventKind, RetryModel
+
+
+def execute(schedule, retry_model=None, seed=0):
+    return ExecutionEngine(schedule, retry_model=retry_model, seed=seed).run()
 
 
 def hybrid_with_indeterminate() -> HybridSchedule:
@@ -67,14 +73,14 @@ class TestRetryModel:
 class TestExecution:
     def test_deterministic_for_seed(self):
         sched = hybrid_with_indeterminate()
-        r1 = execute_schedule(sched, seed=42)
-        r2 = execute_schedule(sched, seed=42)
+        r1 = execute(sched, seed=42)
+        r2 = execute(sched, seed=42)
         assert r1.makespan == r2.makespan
         assert r1.attempts == r2.attempts
 
     def test_makespan_without_retries(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(
+        report = execute(
             sched, RetryModel(success_probability=1.0), seed=0
         )
         # layer 0 ends at max(4, 2+5)=7; layer 1 adds 3.
@@ -83,7 +89,7 @@ class TestExecution:
 
     def test_retries_extend_layer(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(
+        report = execute(
             sched, RetryModel(success_probability=0.05, max_attempts=4),
             seed=3,
         )
@@ -95,13 +101,13 @@ class TestExecution:
 
     def test_layers_strictly_sequential(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(sched, seed=7)
+        report = execute(sched, seed=7)
         (s0, e0), (s1, e1) = report.layer_spans
         assert s0 == 0 and s1 == e0 and e1 >= s1
 
     def test_event_log_structure(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(
+        report = execute(
             sched, RetryModel(success_probability=1.0), seed=0
         )
         starts = report.log.of_kind(EventKind.OP_START)
@@ -112,7 +118,7 @@ class TestExecution:
 
     def test_retry_events_logged(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(
+        report = execute(
             sched, RetryModel(success_probability=0.01, max_attempts=3),
             seed=1,
         )
@@ -124,16 +130,7 @@ class TestExecution:
         layer.place(OpPlacement("a", "d0", 0, 5))
         layer.place(OpPlacement("b", "d0", 3, 5))
         with pytest.raises(SchedulingError):
-            execute_schedule(HybridSchedule(layers=[layer]))
-
-    def test_total_extra_property(self):
-        sched = hybrid_with_indeterminate()
-        report = execute_schedule(
-            sched, RetryModel(success_probability=0.2, max_attempts=6), seed=5
-        )
-        assert report.total_indeterminate_extra == sum(
-            report.realized_terms.values()
-        )
+            execute(HybridSchedule(layers=[layer]))
 
 
 class TestFailurePolicy:
@@ -142,7 +139,7 @@ class TestFailurePolicy:
             success_probability=0.05, max_attempts=2, on_exhausted="fail"
         )
         for seed in range(100):
-            report = execute_schedule(sched, retry, seed=seed)
+            report = execute(sched, retry, seed=seed)
             if report.failed_ops:
                 return report
         pytest.fail("no failing seed found at p=0.05, cap=2")
@@ -152,23 +149,23 @@ class TestFailurePolicy:
         report = self.find_failing_seed(sched)
         assert report.failed_ops == ["cap"]
         assert report.aborted_layers == [1]
-        assert not report.succeeded
+        assert not report.completed
         # The aborted layer's ops never appear in the event log.
         assert report.log.for_op("detect") == []
 
     def test_success_report_clean(self):
         sched = hybrid_with_indeterminate()
-        report = execute_schedule(
+        report = execute(
             sched, RetryModel(success_probability=1.0), seed=0
         )
-        assert report.succeeded
+        assert report.completed
         assert report.aborted_layers == []
 
 
 class TestEndToEndWithSynthesis:
     def test_synthesized_schedule_executes(self, indeterminate_assay, fast_spec):
         result = synthesize(indeterminate_assay, fast_spec)
-        report = execute_schedule(result.schedule, seed=11)
+        report = execute(result.schedule, seed=11)
         assert report.makespan >= result.fixed_makespan
         # Fixed part + realized indeterminate extras = realized makespan.
         assert report.makespan == result.fixed_makespan + sum(
@@ -179,7 +176,7 @@ class TestEndToEndWithSynthesis:
         self, indeterminate_assay, fast_spec
     ):
         result = synthesize(indeterminate_assay, fast_spec)
-        report = execute_schedule(
+        report = execute(
             result.schedule, RetryModel(success_probability=1.0), seed=0
         )
         assert report.makespan == result.fixed_makespan

@@ -1,7 +1,7 @@
 """Chronological ordering of the runtime event log (EventLog.finalize)."""
 
+from repro.cyberphysical import ExecutionEngine
 from repro.hls.schedule import HybridSchedule, LayerSchedule, OpPlacement
-from repro.runtime import execute_schedule
 from repro.runtime.events import _KIND_ORDER, Event, EventKind, EventLog
 
 
@@ -43,7 +43,7 @@ def test_finalize_is_stable_for_equal_keys():
 
 
 def test_executor_log_is_chronological():
-    """Regression: the executor records per placement, so the raw order
+    """Regression: the engine records per placement, so the raw order
     interleaved timelines; the returned report must be chronological."""
     layer0 = LayerSchedule(index=0)
     layer0.place(OpPlacement("slow", "d0", start=0, duration=9))
@@ -54,7 +54,7 @@ def test_executor_log_is_chronological():
     layer1.place(OpPlacement("next", "d0", start=0, duration=2))
     schedule = HybridSchedule(layers=[layer0, layer1])
 
-    report = execute_schedule(schedule, seed=3)
+    report = ExecutionEngine(schedule, seed=3).run()
     events = list(report.log)
     keys = [(e.time, _KIND_ORDER[e.kind]) for e in events]
     assert keys == sorted(keys), "event log is not chronological"
