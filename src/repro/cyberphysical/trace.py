@@ -11,6 +11,7 @@ regardless of how many worker processes produced the runs.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,9 +143,8 @@ def aggregate_stats(run_records) -> CampaignStats:
     if makespans:
         mean = statistics.mean(makespans)
         median = statistics.median(makespans)
-        p95 = float(
-            makespans[min(len(makespans) - 1, int(0.95 * len(makespans)))]
-        )
+        # Nearest rank: the smallest makespan at least 95 % of runs reach.
+        p95 = float(makespans[math.ceil(0.95 * len(makespans)) - 1])
         best, worst = makespans[0], makespans[-1]
     else:
         mean = median = p95 = 0.0

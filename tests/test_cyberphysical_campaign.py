@@ -144,6 +144,12 @@ class TestAggregateStats:
         assert stats.best_makespan == 100  # the failed run's 10 is excluded
         assert stats.mean_makespan == 150.0
 
+    def test_p95_is_nearest_rank(self):
+        # 20 distinct makespans: 19 of 20 runs (95 %) end by the 19th.
+        stats = aggregate_stats([self._record(s, 100 + s) for s in range(20)])
+        assert stats.p95_makespan == 118.0
+        assert stats.worst_makespan == 119
+
     def test_order_independent(self):
         records = [self._record(s, 50 + s) for s in range(5)]
         forward = aggregate_stats(records)
