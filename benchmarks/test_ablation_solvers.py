@@ -1,9 +1,10 @@
-"""Ablation A4 — ILP backend comparison (HiGHS vs own branch-and-bound).
+"""Ablation A4 — HiGHS against the branch-and-bound oracle.
 
-The paper solves with Gurobi; we provide HiGHS (via SciPy) and a
-self-contained pure-Python branch-and-bound over an own simplex.  This
-bench cross-checks that both find the same optimum on real (small) layer
-models, and measures their speed difference.
+The paper solves with Gurobi; synthesis here solves with HiGHS (via
+SciPy).  The pure-Python branch and bound over an own simplex
+(:mod:`repro.ilp.bnb`) is kept only as an independent reference: this
+bench cross-checks that both find the same optimum on a real (small)
+layer model, and measures their speed difference.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hls import SynthesisSpec, synthesize
+from repro.hls import SynthesisSpec
 from repro.hls.milp_model import LayerProblem, build_layer_model
-from repro.operations import AssayBuilder, Fixed, Operation
+from repro.ilp.bnb import solve_bnb
+from repro.ilp.highs import solve_highs
+from repro.operations import Fixed, Operation
 
 
 def small_layer_problem():
@@ -37,13 +40,16 @@ def small_layer_problem():
 SPEC = SynthesisSpec(max_devices=3, time_limit=30)
 
 
-@pytest.mark.parametrize("backend", ["highs", "bnb"])
+SOLVERS = {"highs": solve_highs, "bnb": solve_bnb}
+
+
+@pytest.mark.parametrize("backend", list(SOLVERS))
 def test_backend_speed(backend, benchmark):
     problem = small_layer_problem()
 
     def solve():
         layer_model = build_layer_model(problem, SPEC)
-        return layer_model.model.solve(backend=backend, time_limit=30)
+        return SOLVERS[backend](layer_model.model, time_limit=30)
 
     solution = benchmark(solve)
     assert solution.status.has_solution
@@ -54,9 +60,9 @@ def test_backends_agree_on_layer_model(benchmark, record_rows):
 
     def solve_both():
         out = {}
-        for backend in ("highs", "bnb"):
+        for backend, solve in SOLVERS.items():
             layer_model = build_layer_model(problem, SPEC)
-            solution = layer_model.model.solve(backend=backend, time_limit=60)
+            solution = solve(layer_model.model, time_limit=60)
             assert solution.status.name == "OPTIMAL"
             out[backend] = solution.objective
         return out
@@ -69,26 +75,3 @@ def test_backends_agree_on_layer_model(benchmark, record_rows):
     )
     assert objectives["highs"] == pytest.approx(objectives["bnb"], abs=1e-4)
 
-
-def test_full_synthesis_on_bnb(benchmark, record_rows):
-    """A complete (tiny) synthesis run entirely on the pure-Python stack."""
-    b = AssayBuilder("bnb-e2e")
-    load = b.op("load", 3, container="chamber")
-    cap = b.op("cap", 4, indeterminate=True,
-               accessories=["cell_trap"], after=[load])
-    b.op("read", 2, accessories=["optical_system"], after=[cap])
-    assay = b.build()
-
-    spec = SynthesisSpec(
-        max_devices=4, threshold=1, time_limit=60, max_iterations=1,
-        backend="bnb",
-    )
-    result = benchmark.pedantic(
-        lambda: synthesize(assay, spec), rounds=1, iterations=1
-    )
-    result.validate()
-    record_rows(
-        "ablation_solvers_e2e",
-        f"pure-python synthesis: {result.makespan_expression}, "
-        f"{result.num_devices} devices",
-    )

@@ -64,7 +64,6 @@ def _spec_from_args(args: argparse.Namespace) -> SynthesisSpec:
         threshold=args.threshold,
         time_limit=args.time_limit,
         max_iterations=args.max_iterations,
-        backend=args.backend,
         mip_gap=getattr(args, "mip_gap", 0.0),
         scheduler=getattr(args, "scheduler", "portfolio"),
         enable_solver_sessions=not getattr(args, "no_solver_sessions", False),
@@ -90,9 +89,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help="seconds per layer ILP solve",
     )
     parser.add_argument("--max-iterations", type=int, default=2)
-    parser.add_argument(
-        "--backend", default="auto", choices=("auto", "highs", "bnb")
-    )
     parser.add_argument(
         "--mip-gap", type=float, default=0.0,
         help="relative MIP gap at which a layer solve stops (0 = optimal)",
@@ -137,7 +133,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--periodic-scheduler", default="auto", metavar="NAME",
         help="periodic scheduler backend (auto|ilp|greedy; auto runs the "
              "modulo ILP and degrades to the greedy modulo list scheduler "
-             "when no MIP backend is usable)",
+             "when a MIP solve fails)",
     )
 
 

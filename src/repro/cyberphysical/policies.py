@@ -11,7 +11,7 @@ Chakraborty et al., arXiv:1804.02631):
 3. :class:`ResynthesisPolicy` — *contingency re-synthesis*: extract the
    residual assay (the failed operation plus everything not yet executed),
    re-run the full HLS flow on it — reusing the cross-pass layer-solve
-   cache and warm starts — and splice the fresh layers into the running
+   cache — and splice the fresh layers into the running
    schedule.
 
 A policy returns ``None`` when it is not applicable to the failure at

@@ -6,15 +6,15 @@ per-layer solve is a first-class, isolated stage.  A
 :class:`~repro.hls.milp_model.LayerProblem` into a
 :class:`~repro.hls.decode.LayerSolveResult`:
 
-* ``ilp-highs`` / ``ilp-bnb`` — the layer ILP on a pinned solver backend;
+* ``ilp-highs`` — the layer ILP alone, no fallback race;
 * ``greedy`` — the list-scheduling heuristic alone;
 * ``lp-bound`` — the greedy schedule plus a certified LP-relaxation lower
   bound (no ILP search; the degraded service path pins this one);
 * ``approx-lp`` — LP relaxation, deterministic rounding, greedy repair,
   raced against the plain greedy schedule (never worse than greedy);
-* ``portfolio`` (default) — the paper flow: ILP with warm start, raced
-  against previous-pass reuse and the greedy schedule on
-  :func:`layer_cost`, with the seed's fallback ladder.
+* ``portfolio`` (default) — the paper flow: the ILP raced against
+  previous-pass reuse and the greedy schedule on :func:`layer_cost`, with
+  the seed's fallback ladder.
 
 Every backend attaches certified-quality telemetry to its
 :class:`~repro.ilp.SolveStats`: the achieved layer objective, a proven
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from ..errors import InfeasibleError, ReproError, SchedulingError, SolverError
 from ..ilp import (
     Solution,
-    SolverSession,
     SolveStats,
     SolveStatus,
     relative_gap,
@@ -56,6 +55,7 @@ from .schedule import LayerSchedule
 from .transport import path_key
 
 if TYPE_CHECKING:
+    from ..ilp.highs import HighsSession
     from .session import SessionPool
     from .spec import SynthesisSpec
 
@@ -126,9 +126,7 @@ def _relaxation_bound(
     be reported as a bound.
     """
     return relaxation_bound(
-        layer_model.model,
-        backend=spec.backend,
-        time_limit=min(spec.time_limit, LP_BOUND_BUDGET),
+        layer_model.model, time_limit=min(spec.time_limit, LP_BOUND_BUDGET)
     )
 
 
@@ -176,42 +174,32 @@ def _acquire_layer_model(
     problem: LayerProblem,
     spec: "SynthesisSpec",
     sessions: "SessionPool | None",
-    backend: str | None = None,
-) -> tuple[LayerModel, SolverSession | None]:
+) -> tuple[LayerModel, "HighsSession | None"]:
     """The layer model for ``problem`` plus its solver session, if any.
 
     With a session pool (and ``spec.enable_solver_sessions``), the model
     comes from the pool — delta-mutated in place when the previous pass's
     session can absorb the change, freshly built otherwise — and solves go
-    through the attached :class:`~repro.ilp.SolverSession`.  Without one,
+    through the attached :class:`~repro.ilp.highs.HighsSession`.  Without one,
     the model is built from scratch and solved statelessly; results are
     identical either way (the session re-assembles the same standard form).
     """
     if sessions is not None and spec.enable_solver_sessions:
-        session = sessions.acquire(problem, spec, backend=backend)
+        session = sessions.acquire(problem, spec)
         return session.layer_model, session.solver
     return build_layer_model(problem, spec), None
 
 
 def _run_layer_solve(
     layer_model: LayerModel,
-    solver: SolverSession | None,
+    solver: "HighsSession | None",
     spec: "SynthesisSpec",
-    warm_start=None,
-    backend: str | None = None,
 ) -> Solution:
     """One layer MIP solve, in-session when ``solver`` is given."""
     if solver is not None:
-        return solver.solve(
-            time_limit=spec.time_limit,
-            mip_gap=spec.mip_gap,
-            warm_start=warm_start,
-        )
+        return solver.solve(time_limit=spec.time_limit, mip_gap=spec.mip_gap)
     return layer_model.model.solve(
-        backend=backend or spec.backend,
-        time_limit=spec.time_limit,
-        mip_gap=spec.mip_gap,
-        warm_start=warm_start,
+        time_limit=spec.time_limit, mip_gap=spec.mip_gap
     )
 
 
@@ -312,11 +300,9 @@ class GreedyBackend:
 
 
 class IlpBackend:
-    """The layer ILP on one pinned solver backend, no fallback race."""
+    """The layer ILP alone, no fallback race."""
 
-    def __init__(self, solver: str) -> None:
-        self.solver = solver
-        self.name = f"ilp-{solver}"
+    name = "ilp-highs"
 
     def solve(
         self,
@@ -326,31 +312,21 @@ class IlpBackend:
         warm_from: LayerSolveResult | None = None,
         sessions: "SessionPool | None" = None,
     ) -> LayerSolveResult:
-        build_started = time.monotonic()
-        layer_model, solver = _acquire_layer_model(
-            problem, spec, sessions, backend=self.solver
-        )
-        encode_time = time.monotonic() - build_started
-        warm_start = None
-        if spec.enable_warm_start and warm_from is not None:
-            warm_start = encode_layer_start(layer_model, warm_from)
-        build_time = time.monotonic() - build_started
-        solution = _run_layer_solve(
-            layer_model, solver, spec, warm_start, backend=self.solver
-        )
+        encode_started = time.monotonic()
+        layer_model, solver = _acquire_layer_model(problem, spec, sessions)
+        encode_time = time.monotonic() - encode_started
+        solution = _run_layer_solve(layer_model, solver, spec)
         if solution.status.has_solution:
             result = decode_layer_solution(layer_model, solution, allocate_uid)
             base = solution.stats
             result.stats = SolveStats(
                 layer=problem.layer_index,
-                backend=base.backend if base else self.solver,
+                backend=base.backend if base else "highs",
                 status=result.solver_status,
                 nodes=base.nodes if base else 0,
-                simplex_iterations=base.simplex_iterations if base else 0,
-                build_time=build_time,
+                build_time=encode_time,
                 encode_time=encode_time,
                 solve_time=base.solve_time if base else 0.0,
-                warm_started=base.warm_started if base else False,
             )
             _certify(
                 result.stats, result, problem, spec,
@@ -375,14 +351,14 @@ class PortfolioBackend:
     as both a fallback (when the ILP finds no incumbent in time) and a
     quality floor (when the ILP's time-limited incumbent is poor).
 
-    ``warm_from`` serves two roles: it seeds the ILP with an incumbent on
-    backends that accept one (greedy is the backstop start), and — because
-    the HiGHS wrapper cannot inject incumbents — it re-enters the race as a
-    candidate whenever it is still feasible for the current problem, so a
-    time-limited re-solve can never regress below what the previous pass
-    already achieved.  That floor is also what lets re-synthesis converge:
-    a reused solution keeps the binding stable, which keeps the transport
-    estimates stable, which lets the next pass hit the solve cache.
+    ``warm_from``, the previous pass's result for this layer, re-enters the
+    race as a candidate whenever it is still feasible for the current
+    problem, so a time-limited re-solve can never regress below what the
+    previous pass already achieved.  That floor is also what lets
+    re-synthesis converge: a reused solution keeps the binding stable,
+    which keeps the transport estimates stable, which lets the next pass
+    hit the solve cache.  It is encoded against the layer model only when
+    a race or fallback asks for it; an OPTIMAL solve never does.
     """
 
     name = "portfolio"
@@ -408,19 +384,13 @@ class PortfolioBackend:
         encode_started = time.monotonic()
         layer_model, solver = _acquire_layer_model(problem, spec, sessions)
         encode_time = time.monotonic() - encode_started
-
-        warm_values = None
-        warm_start = None
-        if spec.enable_warm_start:
-            if warm_from is not None:
-                warm_values = encode_layer_start(layer_model, warm_from)
-            warm_start = warm_values
-            if warm_start is None and greedy is not None:
-                warm_start = encode_layer_start(layer_model, greedy)
         build_time = time.monotonic() - build_started
 
         def warm_candidate() -> LayerSolveResult | None:
             """The previous pass's solution, re-decoded for this problem."""
+            if warm_from is None:
+                return None
+            warm_values = encode_layer_start(layer_model, warm_from)
             if warm_values is None:
                 return None
             reused = decode_layer_solution(
@@ -460,12 +430,10 @@ class PortfolioBackend:
                 backend=base.backend if base else "heuristic",
                 status=result.solver_status,
                 nodes=base.nodes if base else 0,
-                simplex_iterations=base.simplex_iterations if base else 0,
                 build_time=build_time,
                 encode_time=encode_time,
                 solve_time=base.solve_time if base else 0.0,
                 cache_hit=False,
-                warm_started=base.warm_started if base else False,
             )
             _certify(
                 result.stats, result, problem, spec, certified_bound(solution)
@@ -473,7 +441,7 @@ class PortfolioBackend:
             return result
 
         try:
-            solution = _run_layer_solve(layer_model, solver, spec, warm_start)
+            solution = _run_layer_solve(layer_model, solver, spec)
         except SolverError:
             fallback = warm_candidate() or greedy
             if fallback is not None:
@@ -551,11 +519,6 @@ class LpBoundBackend:
             layer=problem.layer_index,
             backend="lp-bound",
             status=result.solver_status,
-            simplex_iterations=(
-                relaxed.stats.simplex_iterations
-                if relaxed is not None and relaxed.stats is not None
-                else 0
-            ),
             build_time=build_time,
             encode_time=encode_time,
             solve_time=relaxed.runtime if relaxed is not None else 0.0,
@@ -626,11 +589,6 @@ class ApproxLpBackend:
             layer=problem.layer_index,
             backend="approx-lp",
             status=winner.solver_status,
-            simplex_iterations=(
-                relaxed.stats.simplex_iterations
-                if relaxed is not None and relaxed.stats is not None
-                else 0
-            ),
             build_time=build_time,
             encode_time=build_time,
             solve_time=relaxed.runtime if relaxed is not None else 0.0,
@@ -668,8 +626,7 @@ def create_scheduler(name: str) -> SchedulerBackend:
 
 register_scheduler("portfolio", PortfolioBackend)
 register_scheduler("greedy", GreedyBackend)
-register_scheduler("ilp-highs", lambda: IlpBackend("highs"))
-register_scheduler("ilp-bnb", lambda: IlpBackend("bnb"))
+register_scheduler("ilp-highs", IlpBackend)
 register_scheduler("lp-bound", LpBoundBackend)
 register_scheduler("approx-lp", ApproxLpBackend)
 

@@ -93,17 +93,19 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
     return (
         spec.max_devices,
         spec.binding_mode.value,
-        spec.backend,
+        # Retired knobs stay pinned to their only remaining values, so the
+        # token keeps its bytes (service store keys, fingerprint_run, are
+        # persisted): the solver backend ("auto") here; the warm-start
+        # switch (True), warm-start cutoff (False) and conflict-encoding
+        # mode ("eager") below.  Solver sessions are deliberately absent:
+        # a session re-assembles the exact standard form a scratch build
+        # produces.
+        "auto",
         spec.scheduler,
         spec.time_limit,
         spec.mip_gap,
         spec.allow_heuristic_fallback,
-        spec.enable_warm_start,
-        # The retired warm-start cutoff and conflict-encoding mode, pinned
-        # to their only remaining values: service store keys
-        # (fingerprint_run) are persisted, so the token keeps its bytes.
-        # Solver sessions are deliberately absent: a session re-assembles
-        # the exact standard form a scratch build produces.
+        True,
         False,
         "eager",
         (weights.time, weights.area, weights.processing, weights.paths),

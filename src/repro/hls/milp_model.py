@@ -139,8 +139,8 @@ class LayerModel:
     used: dict[int, Variable]
     sig: dict[tuple[int, tuple], Variable]
     path_vars: dict[tuple, Variable]
-    #: big-M disjunction binaries with their semantics, for warm-start
-    #: encoding: ("q0"|"q1"|"q2", var, a_uid, b_uid).  q0 relaxes "a starts
+    #: big-M disjunction binaries with their semantics, for encoding a
+    #: previous pass's result (``encode_layer_start``): ("q0"|"q1"|"q2", var, a_uid, b_uid).  q0 relaxes "a starts
     #: after b completes (+release)", q1 relaxes "a completes (+release)
     #: before b starts", q2 permits a and b to share one device.
     disj: list[tuple[str, Variable, str, str]] = field(default_factory=list)
@@ -486,7 +486,7 @@ def build_layer_model(problem: LayerProblem, spec: SynthesisSpec) -> LayerModel:
     # Storage pressure (extension): a crossing edge whose endpoints bind
     # apart buffers its reagent, charged ``w`` per edge.  ``w * (1 - od)``
     # when co-binding is legal (pure objective term — LP relaxations and
-    # warm starts are untouched); the unavoidable constant ``w`` when it
+    # reused start vectors are untouched); the unavoidable constant ``w`` when it
     # is not, so integral model objectives keep matching ``layer_cost``.
     storage_terms = []
     for (parent_device, child), weight in sorted(problem.storage_in.items()):

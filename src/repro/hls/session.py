@@ -28,8 +28,8 @@ CI job and ``tests/test_solver_sessions.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..ilp import SolverSession, attach
 from .cache import structural_fingerprint_layer_problem
 from .milp_model import (
     LayerModel,
@@ -40,13 +40,16 @@ from .milp_model import (
 )
 from .spec import SynthesisSpec
 
+if TYPE_CHECKING:
+    from ..ilp.highs import HighsSession
+
 
 @dataclass
 class LayerSession:
     """One layer's live model plus the solver attached to it."""
 
     layer_model: LayerModel
-    solver: SolverSession
+    solver: "HighsSession"
 
     def close(self) -> None:
         self.solver.close()
@@ -83,12 +86,14 @@ class SessionPool:
             "evictions": self.evictions,
         }
 
-    def _build(
-        self, problem: LayerProblem, spec: SynthesisSpec, backend: str | None
-    ) -> LayerSession:
+    def _build(self, problem: LayerProblem, spec: SynthesisSpec) -> LayerSession:
+        # Imported here so SciPy loads on the first solve, not with repro.
+        from ..ilp.highs import HighsSession
+
         layer_model = build_layer_model(problem, spec)
-        solver = attach(layer_model.model, backend=backend or spec.backend)
-        return LayerSession(layer_model=layer_model, solver=solver)
+        return LayerSession(
+            layer_model=layer_model, solver=HighsSession(layer_model.model)
+        )
 
     def _insert(self, key: str, session: LayerSession) -> None:
         self._entries.pop(key, None)
@@ -98,21 +103,13 @@ class SessionPool:
             self._entries.pop(oldest).close()
             self.evictions += 1
 
-    def acquire(
-        self,
-        problem: LayerProblem,
-        spec: SynthesisSpec,
-        backend: str | None = None,
-    ) -> LayerSession:
+    def acquire(self, problem: LayerProblem, spec: SynthesisSpec) -> LayerSession:
         """The session for ``problem``, delta-mutated into its current
         numbers — or a freshly built one when no session can absorb it.
 
         The returned session's ``layer_model.problem`` *is* ``problem``
         (decode reads durations and transport from it), and its model
         matches what ``build_layer_model(problem, spec)`` would produce.
-        ``backend`` pins the solver backend a fresh session attaches
-        (defaults to ``spec.backend``); it does not enter the pool key —
-        the spec's scheduler/backend fields already do.
         """
         key = structural_fingerprint_layer_problem(problem, spec)
         session = self._entries.get(key)
@@ -135,11 +132,11 @@ class SessionPool:
             # (structure drifted in a dimension the key does not cover);
             # rebuild in place rather than trust a stale model.
             session.close()
-            session = self._build(problem, spec, backend)
+            session = self._build(problem, spec)
             self._insert(key, session)
             self.rebuilt += 1
             return session
-        session = self._build(problem, spec, backend)
+        session = self._build(problem, spec)
         self._insert(key, session)
         self.created += 1
         return session

@@ -97,8 +97,8 @@ THROUGHPUT_MODES = ("off", "periodic")
 #: periodic scheduler backends (see repro/periodic/scheduler.py): ``ilp``
 #: probes each candidate II with a modulo ILP over the ``ilp/`` model
 #: layer, ``greedy`` uses the modulo list scheduler, ``auto`` prefers the
-#: ILP and degrades to greedy when no MIP backend is usable or a probe
-#: exhausts its budget.
+#: ILP and degrades to greedy when a probe's MIP solve fails or exhausts
+#: its budget.
 PERIODIC_SCHEDULERS = ("auto", "ilp", "greedy")
 
 
@@ -142,8 +142,6 @@ class SynthesisSpec:
     binding_mode: BindingMode = BindingMode.COVER
     cost_model: CostModel = field(default_factory=default_cost_model)
     registry: AccessoryRegistry = field(default_factory=standard_registry)
-    #: ILP backend name ("auto", "highs", "bnb").
-    backend: str = "auto"
     #: wall-clock budget per layer solve, seconds.
     time_limit: float = 20.0
     mip_gap: float | None = 1e-4
@@ -168,12 +166,9 @@ class SynthesisSpec:
     #: contingency re-synthesis) should keep a bound so the cache cannot
     #: grow into a leak.
     solve_cache_capacity: int | None = 1024
-    #: seed each layer ILP with an incumbent (previous pass's result, or
-    #: the greedy fallback) on backends that support warm starts.
-    enable_warm_start: bool = True
     #: scheduler backend for per-layer solves ("portfolio" races the ILP
-    #: against warm-start reuse and the greedy list scheduler; "ilp-highs",
-    #: "ilp-bnb", and "greedy" pin a single strategy).
+    #: against previous-pass reuse and the greedy list scheduler;
+    #: "ilp-highs" and "greedy" pin a single strategy).
     scheduler: str = "portfolio"
     #: keep per-layer solver sessions alive across re-synthesis passes and
     #: mutate them with deltas instead of re-encoding from scratch.

@@ -292,9 +292,3 @@ def _solve_layer(
         problem, spec, allocate_uid, cache=cache, warm_from=warm_from
     )
 
-
-def _rebase_warm_result(result, fixed_devices, previous_devices):
-    """Compatibility alias for :func:`repro.hls.pipeline.rebase_warm_result`."""
-    from .pipeline import rebase_warm_result
-
-    return rebase_warm_result(result, fixed_devices, previous_devices)

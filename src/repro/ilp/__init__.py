@@ -7,10 +7,12 @@ provides the equivalent functionality offline:
   layer: create variables, combine them into linear expressions with normal
   Python arithmetic, post ``<=``/``>=``/``==`` constraints, set an objective.
 * :mod:`repro.ilp.highs` — exact MILP solving through SciPy's HiGHS bindings
-  (:func:`scipy.optimize.milp`).
-* :mod:`repro.ilp.bnb` — a pure-Python branch-and-bound MILP solver over our
-  own dense simplex (:mod:`repro.ilp.simplex`); used for cross-checking and
-  as a fallback when SciPy is unavailable.
+  (:func:`scipy.optimize.milp`), one-shot or through a persistent
+  :class:`~repro.ilp.highs.HighsSession`; the only solver synthesis runs.
+  SciPy loads on the first solve, not at import.
+* :mod:`repro.ilp.bnb` — a plain pure-Python branch and bound over our own
+  dense simplex (:mod:`repro.ilp.simplex`); the independent reference the
+  tests compare HiGHS against on small models.
 
 Typical use::
 
@@ -28,7 +30,6 @@ Typical use::
 from .expr import LinExpr, Variable, VarType
 from .model import Constraint, Model, ModelDelta
 from .relaxation import relaxation_bound, solve_relaxation
-from .solve import SolverSession, attach, available_backends, solve
 from .status import Solution, SolveStats, SolveStatus, relative_gap
 
 __all__ = [
@@ -41,11 +42,7 @@ __all__ = [
     "Solution",
     "SolveStats",
     "SolveStatus",
-    "SolverSession",
-    "attach",
-    "solve",
     "solve_relaxation",
     "relaxation_bound",
     "relative_gap",
-    "available_backends",
 ]

@@ -5,9 +5,10 @@ relaxations and branches on the most-fractional integer variable with a
 depth-first ("diving") node order, which finds integer-feasible incumbents
 quickly on scheduling models.
 
-This solver exists to make the library self-contained and to cross-check the
-HiGHS backend on small instances (ablation A4); the benchmark tables are
-produced with HiGHS.
+Nothing in the synthesis flow runs it: HiGHS (:mod:`repro.ilp.highs`) is
+the only production solver.  This plain dense solver is the independent
+reference the differential tests and ablation A4 compare HiGHS against on
+small models.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Variable
-from .model import Model, StandardForm
+from .model import Model
 from .simplex import LPStatus, solve_lp
 from .status import Solution, SolveStats, SolveStatus, relative_gap
 
@@ -36,80 +36,21 @@ class _Node:
     var_upper: np.ndarray = field(compare=False)
 
 
-def _seed_incumbent(
-    form: StandardForm, warm_start: dict[Variable, float]
-) -> tuple[np.ndarray, float] | None:
-    """Validate a warm-start assignment against ``form``.
-
-    Returns ``(x, objective)`` in standard-form space when the assignment
-    covers every variable and satisfies bounds, integrality, and all rows;
-    ``None`` otherwise (an unusable start is simply ignored).
-    """
-    try:
-        x = np.array([float(warm_start[v]) for v in form.variables])
-    except KeyError:
-        return None
-    int_mask = form.integrality.astype(bool)
-    x[int_mask] = np.round(x[int_mask])
-    if np.any(x < form.var_lower - 1e-6) or np.any(x > form.var_upper + 1e-6):
-        return None
-    if form.a_matrix.shape[0]:
-        activity = form.a_matrix @ x
-        if np.any(activity < form.row_lower - 1e-6) or np.any(
-            activity > form.row_upper + 1e-6
-        ):
-            return None
-    return x, float(form.c @ x)
-
-
 def solve_bnb(
     model: Model,
     time_limit: float | None = None,
     node_limit: int = 100000,
     mip_gap: float | None = None,
-    use_presolve: bool = True,
-    warm_start: dict[Variable, float] | None = None,
 ) -> Solution:
     """Solve ``model`` by branch and bound.
 
     Returns OPTIMAL when the tree is exhausted, FEASIBLE when a limit was hit
     with an incumbent in hand, TIMEOUT when a limit was hit without one.
-
-    ``warm_start`` may supply a complete feasible assignment; it is checked
-    against the model and, when valid, seeds the incumbent so the search
-    starts with an immediate pruning bound (and a guaranteed answer even
-    under a zero time budget).
     """
     start = time.monotonic()
     form = model.to_standard_form()
-    # Seed the incumbent before presolve so validation sees the original
-    # rows (presolve reductions are feasibility-safe, so a valid incumbent
-    # stays within the tightened bounds).
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
-    warm_accepted = False
-    if warm_start is not None:
-        seeded = _seed_incumbent(form, warm_start)
-        if seeded is not None:
-            incumbent_x, incumbent_obj = seeded
-            warm_accepted = True
-    if use_presolve:
-        from .presolve import presolve
-
-        reduction = presolve(form)
-        if reduction.infeasible:
-            runtime = time.monotonic() - start
-            return Solution(
-                SolveStatus.INFEASIBLE,
-                runtime=runtime,
-                backend="bnb",
-                stats=SolveStats(
-                    backend="bnb",
-                    status=SolveStatus.INFEASIBLE.value,
-                    solve_time=runtime,
-                ),
-            )
-        form = reduction.form
     a_dense = form.a_matrix.toarray() if form.a_matrix.shape[0] else np.zeros(
         (0, len(form.variables))
     )
@@ -164,7 +105,6 @@ def solve_bnb(
                         nodes=nodes,
                         simplex_iterations=simplex_iterations,
                         solve_time=runtime,
-                        warm_started=warm_accepted,
                     ),
                 )
             continue
@@ -212,7 +152,6 @@ def solve_bnb(
                 nodes=nodes,
                 simplex_iterations=simplex_iterations,
                 solve_time=runtime,
-                warm_started=warm_accepted,
             ),
         )
 
@@ -250,7 +189,6 @@ def solve_bnb(
             nodes=nodes,
             simplex_iterations=simplex_iterations,
             solve_time=runtime,
-            warm_started=warm_accepted,
             objective=objective,
             lower_bound=bound,
             integrality_gap=relative_gap(objective, bound),
@@ -266,42 +204,3 @@ def _most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
     if frac[best] <= _INT_TOL:
         return None
     return best
-
-
-class BnbSession:
-    """A persistent branch-and-bound solve attached to one mutable model.
-
-    The session keeps the last incumbent and re-offers it as the warm start
-    of the next solve.  :func:`_seed_incumbent` validates it against the
-    mutated model, so an incumbent invalidated by a delta (tightened bound,
-    new conflict row) is silently dropped rather than trusted.
-    """
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self._incumbent: dict[Variable, float] | None = None
-
-    def apply(self, delta) -> None:
-        delta.apply_to(self.model)
-
-    def solve(
-        self,
-        time_limit: float | None = None,
-        mip_gap: float | None = None,
-        warm_start: dict[Variable, float] | None = None,
-    ) -> Solution:
-        start = warm_start if warm_start is not None else self._incumbent
-        kwargs: dict = {}
-        if time_limit is not None:
-            kwargs["time_limit"] = time_limit
-        if mip_gap is not None:
-            kwargs["mip_gap"] = mip_gap
-        if start is not None:
-            kwargs["warm_start"] = start
-        solution = solve_bnb(self.model, **kwargs)
-        if solution.status.has_solution and solution.values:
-            self._incumbent = dict(solution.values)
-        return solution
-
-    def close(self) -> None:
-        self._incumbent = None

@@ -1,9 +1,9 @@
 """Exact MILP solving through SciPy's HiGHS bindings.
 
 This plays the role of Gurobi in the paper's toolchain: an exact
-branch-and-cut MILP solver.  All benchmark tables are produced with this
-backend; the pure-Python solver (:mod:`repro.ilp.bnb`) cross-checks it on
-small instances.
+branch-and-cut MILP solver, and the only one the synthesis flow runs.  The
+pure-Python branch and bound (:mod:`repro.ilp.bnb`) is kept as the
+reference the tests compare it against on small instances.
 
 Two entry points share one solve core:
 
@@ -25,7 +25,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
 from ..errors import SolverError
-from .expr import Variable, VarType
+from .expr import VarType
 from .model import Constraint, Model, ModelDelta, StandardForm
 from .status import Solution, SolveStats, SolveStatus, relative_gap
 
@@ -115,15 +115,8 @@ def solve_highs(
     model: Model,
     time_limit: float | None = None,
     mip_gap: float | None = None,
-    warm_start: dict[Variable, float] | None = None,
 ) -> Solution:
-    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS).
-
-    ``warm_start`` is accepted for interface parity with the pure-Python
-    backend but ignored: SciPy's ``milp`` wrapper exposes no incumbent
-    injection (HiGHS itself would support it).
-    """
-    del warm_start
+    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS)."""
     return _solve_form(model.to_standard_form(), time_limit, mip_gap)
 
 
@@ -232,9 +225,8 @@ class HighsSession:
         self,
         time_limit: float | None = None,
         mip_gap: float | None = None,
-        warm_start: dict[Variable, float] | None = None,
     ) -> Solution:
-        del warm_start  # see solve_highs
+        """Solve the model in its current state."""
         return _solve_form(self._form(), time_limit, mip_gap)
 
     def close(self) -> None:

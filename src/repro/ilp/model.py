@@ -332,21 +332,15 @@ class Model:
 
     def solve(
         self,
-        backend: str = "auto",
         time_limit: float | None = None,
         mip_gap: float | None = None,
-        warm_start: dict[Variable, float] | None = None,
     ) -> Solution:
-        """Solve the model; see :func:`repro.ilp.solve.solve`."""
-        from .solve import solve as _solve
+        """Solve the model with HiGHS; see :func:`repro.ilp.highs.solve_highs`."""
+        # Looked up on the module at call time, so a patched solve_highs
+        # (profilers, tests) sees every one-shot solve.
+        from . import highs
 
-        return _solve(
-            self,
-            backend=backend,
-            time_limit=time_limit,
-            mip_gap=mip_gap,
-            warm_start=warm_start,
-        )
+        return highs.solve_highs(self, time_limit=time_limit, mip_gap=mip_gap)
 
     def __repr__(self) -> str:
         return (
@@ -360,7 +354,7 @@ class ModelDelta:
 
     Deltas are built by an encoder (e.g. ``encode_layer_delta``) without a
     model in hand and applied later — either directly via :meth:`apply_to`
-    or through :meth:`SolverSession.apply <repro.ilp.solve.SolverSession>`,
+    or through :meth:`HighsSession.apply <repro.ilp.highs.HighsSession>`,
     which lets the session re-extract only the dirtied rows.
     """
 

@@ -48,7 +48,7 @@ class SolveStatus(enum.Enum):
 class SolveStats:
     """Telemetry of one solve: where the time went and how hard it was.
 
-    Backends fill what they can observe (the pure-Python branch and bound
+    Solvers fill what they can observe (the pure-Python branch and bound
     counts everything; HiGHS only reports node counts).  The synthesis
     driver adds the surrounding context — model build time and whether the
     result came from the layer-solve cache — before aggregating per pass.
@@ -60,10 +60,11 @@ class SolveStats:
     status: str = ""
     #: branch-and-bound nodes processed (MIP backends).
     nodes: int = 0
-    #: total simplex iterations across all LP relaxations (bnb backend).
+    #: total simplex iterations across all LP relaxations (branch and
+    #: bound only; HiGHS reports none).
     simplex_iterations: int = 0
     #: wall-clock seconds spent building the model (driver-level; includes
-    #: heuristic candidates and warm-start encoding around the encoder).
+    #: heuristic candidates around the encoder).
     build_time: float = 0.0
     #: wall-clock seconds spent encoding: building the ILP model from the
     #: layer problem, or mutating a session's model via a delta.  A subset
@@ -73,7 +74,9 @@ class SolveStats:
     solve_time: float = 0.0
     #: the result was replayed from the layer-solve cache (no solve ran).
     cache_hit: bool = False
-    #: a warm-start incumbent was accepted by the backend.
+    #: a warm-start incumbent was accepted by the backend.  No solver takes
+    #: a start any more, so this stays False; the field keeps the stats
+    #: wire format stable.
     warm_started: bool = False
     #: the layer objective the returned schedule achieves (layer_cost
     #: units); None when the backend did not evaluate one.

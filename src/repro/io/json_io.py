@@ -97,7 +97,6 @@ _SPEC_SCALAR_FIELDS = (
     "max_devices",
     "threshold",
     "transport_default",
-    "backend",
     "time_limit",
     "mip_gap",
     "improvement_threshold",
@@ -105,7 +104,6 @@ _SPEC_SCALAR_FIELDS = (
     "allow_heuristic_fallback",
     "enable_solve_cache",
     "solve_cache_capacity",
-    "enable_warm_start",
     "scheduler",
     "storage_mode",
     "storage_capacity",
@@ -113,6 +111,34 @@ _SPEC_SCALAR_FIELDS = (
     "target_ii",
     "throughput_scheduler",
 )
+
+
+#: Retired spec fields that older clients and journal records still send,
+#: with the values that asked for what every run does today.  They are
+#: accepted and ignored; any other value asked for a removed option.
+_RETIRED_SPEC_FIELDS: dict[str, tuple[tuple[Any, ...], str]] = {
+    "backend": (
+        ("auto", "highs"),
+        "the pure-Python branch-and-bound backend was removed; "
+        "HiGHS is the only solver",
+    ),
+    "enable_warm_start": (
+        (True,),
+        "ILP warm starts were removed; HiGHS never used them",
+    ),
+}
+
+
+def _check_retired_spec_fields(data: dict[str, Any]) -> None:
+    for name, (accepted, why) in _RETIRED_SPEC_FIELDS.items():
+        if name not in data:
+            continue
+        value = data[name]
+        if not any(type(value) is type(ok) and value == ok for ok in accepted):
+            raise SerializationError(
+                f"spec option {name}={json.dumps(value)} is no longer "
+                f"supported: {why}"
+            )
 
 
 def spec_to_json(spec: "SynthesisSpec") -> dict[str, Any]:
@@ -166,7 +192,7 @@ def spec_from_json(data: dict[str, Any]) -> "SynthesisSpec":
             raise SerializationError(
                 f"unsupported spec format {data.get('format')!r}"
             )
-        known = set(_SPEC_SCALAR_FIELDS) | {
+        known = set(_SPEC_SCALAR_FIELDS) | set(_RETIRED_SPEC_FIELDS) | {
             "format", "weights", "transport_progression", "binding_mode",
             "storage_weights", "throughput_variants",
         }
@@ -175,6 +201,7 @@ def spec_from_json(data: dict[str, Any]) -> "SynthesisSpec":
             raise SerializationError(
                 f"unknown spec field(s): {', '.join(unknown)}"
             )
+        _check_retired_spec_fields(data)
         kwargs: dict[str, Any] = {
             name: data[name] for name in _SPEC_SCALAR_FIELDS if name in data
         }

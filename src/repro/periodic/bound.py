@@ -13,9 +13,8 @@ buffers, whose producers and consumers may abut).
 
 The bound is *solved as an LP* through the existing relaxation machinery
 rather than computed by a ``max()`` so it rides the same certification
-path as the layer solves: only an ``OPTIMAL`` LP solution certifies, and
-the pure-Python simplex keeps the certificate available when SciPy is
-absent.  A plain-arithmetic cross-check (:func:`resource_bound`) guards
+path as the layer solves: only an ``OPTIMAL`` LP solution certifies.
+A plain-arithmetic cross-check (:func:`resource_bound`) guards
 the LP against encoding bugs — the two must agree.
 """
 
@@ -85,9 +84,7 @@ def ii_lower_bound(
             model.add(ii >= longest, name=f"fit[{resource}]")
     model.minimize(ii)
 
-    solution = relaxation_bound(
-        model, backend=problem.spec.backend, time_limit=BOUND_LP_BUDGET
-    )
+    solution = relaxation_bound(model, time_limit=BOUND_LP_BUDGET)
     arithmetic = resource_bound(problem)
     if solution is None:
         return arithmetic, None

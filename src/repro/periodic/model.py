@@ -23,23 +23,16 @@ Each II probe builds its model from scratch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ilp import LinExpr, Model, Solution, Variable
-from .problem import AffineInterval, PeriodicProblem
+from .problem import PeriodicProblem
 
 
 def wrap_bound(horizon: int, ii: int) -> int:
     """Bound on a wrap variable: intervals live in ``[0, horizon]``, so no
     pair ever needs to shift by more than the horizon's worth of periods."""
     return max(1, math.ceil(horizon / max(ii, 1)) + 1)
-
-
-@dataclass
-class _PairRow:
-    wrap: Variable
-    first: AffineInterval
-    second: AffineInterval
 
 
 @dataclass
@@ -50,18 +43,11 @@ class PeriodicModel:
     ii: int
     model: Model
     starts: dict[str, Variable]
-    pairs: list[_PairRow] = field(default_factory=list)
 
     def decode(self, solution: Solution) -> dict[str, int]:
         return {
             uid: solution.int_value(var) for uid, var in self.starts.items()
         }
-
-
-def _endpoint(
-    starts: dict[str, Variable], anchor: str, offset: int
-) -> tuple[Variable, int]:
-    return starts[anchor], offset
 
 
 def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
@@ -97,7 +83,6 @@ def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
         model.add(expr <= ii + offset, name=f"fit[{interval.label}]")
 
     bound = wrap_bound(horizon, ii)
-    pairs: list[_PairRow] = []
     grouped = problem.intervals_by_resource()
     for resource in sorted(grouped):
         intervals = grouped[resource]
@@ -123,12 +108,9 @@ def build_periodic_model(problem: PeriodicProblem, ii: int) -> PeriodicModel:
                     <= ii + first.start_offset - second.end_offset,
                     name=f"pair_hi[{first.label}|{second.label}]",
                 )
-                pairs.append(_PairRow(wrap=wrap, first=first, second=second))
 
     model.minimize(LinExpr.sum(starts[uid] for uid in problem.order))
-    return PeriodicModel(
-        problem=problem, ii=ii, model=model, starts=starts, pairs=pairs
-    )
+    return PeriodicModel(problem=problem, ii=ii, model=model, starts=starts)
 
 
 def feasible_lengths(problem: PeriodicProblem, ii: int) -> bool:
@@ -139,27 +121,3 @@ def feasible_lengths(problem: PeriodicProblem, ii: int) -> bool:
         if length is not None and length > ii:
             return False
     return True
-
-
-def warm_start_values(
-    pmodel: PeriodicModel, starts: dict[str, int]
-) -> dict[Variable, float]:
-    """A complete feasible assignment of ``pmodel`` from concrete starts.
-
-    Picks each wrap variable as the (unique, when one exists) integer
-    placing the pair's gap inside ``[0, II - len_i - len_j]``; used to
-    warm-start MIP probes from the previous feasible schedule.
-    """
-    ii = pmodel.ii
-    values: dict[Variable, float] = {
-        var: float(starts[uid]) for uid, var in pmodel.starts.items()
-    }
-    for pair in pmodel.pairs:
-        gap = (
-            pair.second.concrete(starts)[0] - pair.first.concrete(starts)[1]
-        )
-        # The smallest w with gap + II*w >= 0 lands the circular gap at
-        # (gap mod II); for a schedule feasible at this II that w also
-        # satisfies the pair's upper row.
-        values[pair.wrap] = float(-(gap // ii)) if ii else 0.0
-    return values

@@ -7,10 +7,10 @@ periodic scheduler backends are registered by name and selected through
 * ``ilp``    — every probe builds and solves the modulo ILP of
   :mod:`repro.periodic.model`;
 * ``greedy`` — every probe runs the modulo list scheduler;
-* ``auto``   — the ILP when a MIP backend is usable and the model is
-  reasonably sized, degrading to greedy **per probe** on solver
-  unavailability (missing SciPy ⇒ :class:`~repro.errors.SolverError`),
-  timeout without incumbent, or an oversized pair set.
+* ``auto``   — the ILP when the model is reasonably sized, degrading to
+  greedy **per probe** on a solver failure
+  (:class:`~repro.errors.SolverError`), a timeout without incumbent, or
+  an oversized pair set.
 
 The search itself is a guarded binary search on ``[lower bound,
 one-shot makespan]``.  The one-shot schedule is always feasible at
@@ -37,7 +37,7 @@ from ..hls.spec import PERIODIC_SCHEDULERS, SynthesisSpec
 from ..ilp import SolveStats, relative_gap
 from .bound import ii_lower_bound
 from .greedy import greedy_modulo_schedule
-from .model import build_periodic_model, feasible_lengths, warm_start_values
+from .model import build_periodic_model, feasible_lengths
 from .problem import PeriodicProblem, build_periodic_problem
 from .validate import (
     PeriodicSchedule,
@@ -70,7 +70,7 @@ class ThroughputResult:
     probes: list[ProbeRecord] = field(default_factory=list)
     #: the backend that produced the accepted schedule.
     scheduler: str = ""
-    #: the ILP degraded to greedy at least once (missing backend/budget).
+    #: the ILP degraded to greedy at least once (solver failure/budget).
     degraded: bool = False
 
     @property
@@ -115,8 +115,6 @@ class _Search:
     """Mutable probe state shared across one II search."""
 
     spec: SynthesisSpec
-    #: best known feasible starts, warm-start seed for MIP probes.
-    incumbent: dict[str, int] | None = None
     degraded: bool = False
     warned: bool = False
 
@@ -145,14 +143,8 @@ class IlpPeriodicScheduler(PeriodicSchedulerBackend):
     def attempt(self, problem, ii, search):
         spec = search.spec
         pmodel = build_periodic_model(problem, ii)
-        warm = None
-        if spec.enable_warm_start and search.incumbent is not None:
-            warm = warm_start_values(pmodel, search.incumbent)
         solution = pmodel.model.solve(
-            backend=spec.backend,
-            time_limit=spec.time_limit,
-            mip_gap=spec.mip_gap,
-            warm_start=warm,
+            time_limit=spec.time_limit, mip_gap=spec.mip_gap
         )
         if not solution.status.has_solution:
             return None
@@ -265,7 +257,6 @@ def schedule_throughput(
             "the synthesis result is inconsistent"
         )
     best_scheduler = "baseline"
-    search.incumbent = dict(problem.baseline_starts)
 
     floor = max(bound, 1)
     if spec.target_ii is not None:
@@ -290,7 +281,6 @@ def schedule_throughput(
         if schedule is not None:
             best = schedule
             best_scheduler = backend.name
-            search.incumbent = dict(schedule.starts)
             hi = mid
         else:
             lo = mid + 1
@@ -303,7 +293,6 @@ def schedule_throughput(
         solve_time=time.monotonic() - started,
         objective=float(best.ii),
         lower_bound=float(bound),
-        warm_started=spec.enable_warm_start,
     )
     stats.integrality_gap = relative_gap(stats.objective, stats.lower_bound)
     if certificate is None:

@@ -32,11 +32,14 @@ class TestParser:
     def test_spec_arguments(self):
         args = build_parser().parse_args(
             ["synthesize", "a.json", "--max-devices", "7",
-             "--threshold", "3", "--backend", "highs"]
+             "--threshold", "3", "--scheduler", "ilp-highs"]
         )
         assert args.max_devices == 7
         assert args.threshold == 3
-        assert args.backend == "highs"
+        assert args.scheduler == "ilp-highs"
+        # The solver-backend flag is gone: HiGHS is the only solver.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synthesize", "a.json", "--backend", "highs"])
 
 
 class TestCommands:

@@ -170,7 +170,8 @@ class TestGreedyRace:
 class TestSchedulerRegistry:
     def test_builtin_backends_registered(self):
         names = available_schedulers()
-        assert {"portfolio", "greedy", "ilp-highs", "ilp-bnb"} <= set(names)
+        assert {"portfolio", "greedy", "ilp-highs"} <= set(names)
+        assert "ilp-bnb" not in names  # HiGHS is the only solver
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ReproError):

@@ -1,13 +1,18 @@
-"""Tests for the MILP backends (HiGHS + own branch & bound) and dispatch."""
+"""Tests for the MILP solvers: HiGHS, the only solver synthesis runs, and
+the pure-Python branch and bound kept as its reference oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SolverError
-from repro.ilp import Model, SolveStatus, available_backends, solve
+import repro.ilp.highs as highs_mod
+from repro.ilp import Model, SolveStatus
+from repro.ilp.bnb import solve_bnb
+from repro.ilp.highs import solve_highs
 
-BACKENDS = ("highs", "bnb")
+SOLVERS = pytest.mark.parametrize(
+    "solve", (solve_highs, solve_bnb), ids=("highs", "bnb")
+)
 
 
 def knapsack_model():
@@ -23,62 +28,62 @@ def knapsack_model():
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_knapsack_optimum(self, backend):
+    @SOLVERS
+    def test_knapsack_optimum(self, solve):
         m, _ = knapsack_model()
-        sol = m.solve(backend=backend)
+        sol = solve(m)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(56)  # items 18+31+7 (w=10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infeasible(self, backend):
+    @SOLVERS
+    def test_infeasible(self, solve):
         m = Model()
         x = m.binary("x")
         m.add(x >= 2)
-        assert m.solve(backend=backend).status is SolveStatus.INFEASIBLE
+        assert solve(m).status is SolveStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_integer_rounding(self, backend):
+    @SOLVERS
+    def test_integer_rounding(self, solve):
         m = Model()
         x = m.integer("x", lb=0, ub=10)
         m.add(2 * x >= 5)
         m.minimize(x)
-        sol = m.solve(backend=backend)
+        sol = solve(m)
         assert sol.int_value(x) == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_integer_continuous(self, backend):
+    @SOLVERS
+    def test_mixed_integer_continuous(self, solve):
         m = Model()
         x = m.integer("x", lb=0, ub=4)
         y = m.continuous("y", lb=0, ub=10)
         m.add(x + y >= 4.5)
         m.minimize(3 * x + y)
-        sol = m.solve(backend=backend)
+        sol = solve(m)
         # all weight on the continuous variable
         assert sol.objective == pytest.approx(4.5)
         assert sol.int_value(x) == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equality_constraints(self, backend):
+    @SOLVERS
+    def test_equality_constraints(self, solve):
         m = Model()
         x = m.integer("x", lb=0, ub=9)
         y = m.integer("y", lb=0, ub=9)
         m.add(x + y == 7)
         m.minimize(x - y)
-        sol = m.solve(backend=backend)
+        sol = solve(m)
         assert sol.int_value(x) == 0 and sol.int_value(y) == 7
 
     def test_bnb_unbounded(self):
         m = Model()
         x = m.continuous("x", lb=0)
         m.minimize(-1 * x)
-        assert m.solve(backend="bnb").status is SolveStatus.UNBOUNDED
+        assert solve_bnb(m).status is SolveStatus.UNBOUNDED
 
     def test_highs_unbounded(self):
         m = Model()
         x = m.continuous("x", lb=0)
         m.minimize(-1 * x)
-        status = m.solve(backend="highs").status
+        status = solve_highs(m).status
         assert status in (SolveStatus.UNBOUNDED, SolveStatus.INFEASIBLE)
 
     def test_solution_value_helper(self):
@@ -91,57 +96,96 @@ class TestBackends:
 
 
 class TestDispatch:
-    def test_available_backends_order(self):
-        backends = available_backends()
-        assert backends[0] == "highs"
-        assert "bnb" in backends
-
-    def test_unknown_backend(self):
-        m = Model()
-        m.binary("x")
-        with pytest.raises(SolverError):
-            solve(m, backend="gurobi")
-
     def test_auto_uses_highs(self):
+        """``Model.solve`` runs HiGHS; there is no other solver to pick."""
         m = Model()
         x = m.binary("x")
         m.minimize(x)
-        assert m.solve(backend="auto").backend == "highs"
+        assert m.solve().backend == "highs"
 
-    def test_time_limit_forwarded(self):
+    def test_time_limit_forwarded(self, monkeypatch):
+        """``Model.solve`` looks ``solve_highs`` up on its module at call
+        time (profilers patch it there) and forwards both limits."""
+        seen = {}
+        original = highs_mod.solve_highs
+
+        def recording(model, time_limit=None, mip_gap=None):
+            seen.update(time_limit=time_limit, mip_gap=mip_gap)
+            return original(model, time_limit=time_limit, mip_gap=mip_gap)
+
+        monkeypatch.setattr(highs_mod, "solve_highs", recording)
         m, _ = knapsack_model()
-        sol = m.solve(backend="bnb", time_limit=30)
+        sol = m.solve(time_limit=30, mip_gap=0.5)
         assert sol.status.has_solution
+        assert seen == {"time_limit": 30, "mip_gap": 0.5}
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_backends_agree_on_random_milps(seed):
-    """Property: HiGHS and the own B&B find the same optimum."""
-    import random
+@st.composite
+def small_milps(draw):
+    """A tiny bounded MILP: 1-6 binary/integer variables, 0-5 rows of any
+    sense, small integer coefficients (so optima are integers and both
+    solvers must agree exactly)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    variables = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            variables.append(("binary", 0, 1))
+        else:
+            lb = draw(st.integers(min_value=-3, max_value=3))
+            ub = draw(st.integers(min_value=lb, max_value=lb + 6))
+            variables.append(("integer", lb, ub))
+    coeff = st.integers(min_value=-4, max_value=4)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(coeff, min_size=n, max_size=n),
+                st.sampled_from(("<=", ">=", "==")),
+                st.integers(min_value=-8, max_value=12),
+            ),
+            max_size=5,
+        )
+    )
+    objective = draw(st.lists(coeff, min_size=n, max_size=n))
+    sense = draw(st.sampled_from(("min", "max")))
+    return variables, rows, objective, sense
 
-    rng = random.Random(seed)
-    n = rng.randint(2, 5)
-    m_rows = rng.randint(1, 4)
-    ubs = [rng.randint(1, 5) for _ in range(n)]
 
-    def build():
-        m = Model("rand")
-        xs = [m.integer(f"x{i}", lb=0, ub=ubs[i]) for i in range(n)]
-        rng2 = random.Random(seed + 1)
-        for r in range(m_rows):
-            coeffs = [rng2.randint(-3, 3) for _ in range(n)]
-            rhs = rng2.randint(0, 12)
-            expr = sum((c * x for c, x in zip(coeffs, xs)), start=0 * xs[0])
+def build_milp(spec):
+    variables, rows, objective, sense = spec
+    m = Model("oracle", sense=sense)
+    xs = []
+    for i, (kind, lb, ub) in enumerate(variables):
+        if kind == "binary":
+            xs.append(m.binary(f"x{i}"))
+        else:
+            xs.append(m.integer(f"x{i}", lb=lb, ub=ub))
+    for coeffs, op, rhs in rows:
+        expr = sum((c * x for c, x in zip(coeffs, xs)), start=0 * xs[0])
+        if op == "<=":
             m.add(expr <= rhs)
-        obj_coeffs = [rng2.randint(-5, 5) for _ in range(n)]
-        m.minimize(sum((c * x for c, x in zip(obj_coeffs, xs)), start=0 * xs[0]))
-        return m
+        elif op == ">=":
+            m.add(expr >= rhs)
+        else:
+            m.add(expr == rhs)
+    expr = sum((c * x for c, x in zip(objective, xs)), start=0 * xs[0])
+    if sense == "min":
+        m.minimize(expr)
+    else:
+        m.maximize(expr)
+    return m
 
-    sol_h = build().solve(backend="highs")
-    sol_b = build().solve(backend="bnb")
-    assert sol_h.status == sol_b.status
-    if sol_h.status.has_solution:
-        assert sol_h.objective == pytest.approx(sol_b.objective, abs=1e-6)
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_milps())
+def test_backends_agree_on_random_milps(spec):
+    """Differential check against the oracle: on small bounded MILPs HiGHS
+    (run to a zero gap) and the own branch and bound agree on the status
+    and, when there is an optimum, on its value."""
+    model = build_milp(spec)
+    highs = solve_highs(model, mip_gap=0.0)
+    oracle = solve_bnb(model)
+    assert oracle.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+    assert highs.status is oracle.status
+    if oracle.status is SolveStatus.OPTIMAL:
+        assert highs.objective == pytest.approx(oracle.objective, abs=1e-6)
+        assert model.check(highs.values) == []

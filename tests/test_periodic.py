@@ -10,7 +10,6 @@ from repro.errors import SpecificationError, ValidationError
 from repro.hls import SynthesisSpec, synthesize
 from repro.periodic import (
     PeriodicSchedule,
-    build_periodic_model,
     build_periodic_problem,
     circular_overlap,
     collect_periodic_violations,
@@ -20,11 +19,7 @@ from repro.periodic import (
     schedule_throughput,
     validate_periodic_schedule,
 )
-from repro.periodic.model import (
-    feasible_lengths,
-    warm_start_values,
-    wrap_bound,
-)
+from repro.periodic.model import feasible_lengths, wrap_bound
 
 
 class TestCircularOverlap:
@@ -140,19 +135,6 @@ class TestModel:
         assert feasible_lengths(problem, longest)
         assert not feasible_lengths(problem, longest - 1)
 
-    def test_warm_start_covers_all_variables(
-        self, indeterminate_assay, fast_spec
-    ):
-        result = synthesize(indeterminate_assay, fast_spec)
-        problem = build_periodic_problem(result)
-        pmodel = build_periodic_model(problem, problem.horizon)
-        values = warm_start_values(pmodel, dict(problem.baseline_starts))
-        for var in pmodel.starts.values():
-            assert var in values
-        for pair in pmodel.pairs:
-            assert pair.wrap in values
-            assert values[pair.wrap] == int(values[pair.wrap])
-
 
 class TestSearch:
     def test_pipelines_below_makespan(self, indeterminate_assay, fast_spec):
@@ -172,6 +154,13 @@ class TestSearch:
         assert throughput.stats.lower_bound is not None
         assert throughput.integrality_gap is not None
         assert throughput.integrality_gap >= 0.0
+
+    def test_no_warm_start_reported(self, indeterminate_assay, fast_spec):
+        """No periodic probe is warm-started (HiGHS takes no start), so the
+        stat must not claim one."""
+        result = synthesize(indeterminate_assay, fast_spec)
+        throughput = schedule_throughput(result, fast_spec)
+        assert throughput.stats.warm_started is False
 
     def test_target_ii_stops_early(self, indeterminate_assay, fast_spec):
         result = synthesize(indeterminate_assay, fast_spec)

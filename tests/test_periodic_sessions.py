@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 
 import pytest
 
+import repro.ilp.highs as highs_mod
 from repro.errors import SolverError
 from repro.hls import synthesize
 from repro.periodic import schedule_throughput, validate_periodic_schedule
+
+
+def _break_highs(monkeypatch, message):
+    """Make every one-shot HiGHS solve fail the way an unusable solver
+    (SciPy missing or broken) does."""
+
+    def failing(model, time_limit=None, mip_gap=None):
+        raise SolverError(message)
+
+    monkeypatch.setattr(highs_mod, "solve_highs", failing)
 
 
 @pytest.fixture
@@ -21,16 +31,10 @@ class TestDegradation:
     def test_missing_scipy_degrades_to_greedy(
         self, pipelined_result, fast_spec, monkeypatch
     ):
-        """No MIP backend: auto warns once and falls back to greedy."""
-        solve_mod = importlib.import_module("repro.ilp.solve")
-
-        def _no_highs():
-            raise SolverError("backend 'highs' requires SciPy (test)")
-
-        monkeypatch.setattr(solve_mod, "_import_highs", _no_highs)
-        spec = dataclasses.replace(fast_spec, backend="highs")
+        """No usable MIP solve: auto warns once and falls back to greedy."""
+        _break_highs(monkeypatch, "HiGHS requires SciPy (test)")
         with pytest.warns(RuntimeWarning, match="degrading to the greedy"):
-            throughput = schedule_throughput(pipelined_result, spec)
+            throughput = schedule_throughput(pipelined_result, fast_spec)
         assert throughput.degraded
         assert throughput.ii <= throughput.base_makespan
         validate_periodic_schedule(throughput.schedule)
@@ -39,32 +43,17 @@ class TestDegradation:
         self, pipelined_result, fast_spec, monkeypatch
     ):
         """scheduler=ilp is a hard request: no silent greedy substitution."""
-        solve_mod = importlib.import_module("repro.ilp.solve")
-
-        def _no_highs():
-            raise SolverError("backend 'highs' requires SciPy (test)")
-
-        monkeypatch.setattr(solve_mod, "_import_highs", _no_highs)
-        spec = dataclasses.replace(
-            fast_spec, backend="highs", throughput_scheduler="ilp"
-        )
+        _break_highs(monkeypatch, "HiGHS requires SciPy (test)")
+        spec = dataclasses.replace(fast_spec, throughput_scheduler="ilp")
         with pytest.raises(SolverError):
             schedule_throughput(pipelined_result, spec)
 
     def test_degraded_result_matches_pure_greedy(
         self, pipelined_result, fast_spec, monkeypatch
     ):
-        solve_mod = importlib.import_module("repro.ilp.solve")
-
-        def _no_highs():
-            raise SolverError("no scipy")
-
-        monkeypatch.setattr(solve_mod, "_import_highs", _no_highs)
+        _break_highs(monkeypatch, "no scipy")
         with pytest.warns(RuntimeWarning):
-            degraded = schedule_throughput(
-                pipelined_result,
-                dataclasses.replace(fast_spec, backend="highs"),
-            )
+            degraded = schedule_throughput(pipelined_result, fast_spec)
         greedy = schedule_throughput(
             pipelined_result,
             dataclasses.replace(fast_spec, throughput_scheduler="greedy"),

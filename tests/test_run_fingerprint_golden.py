@@ -7,8 +7,11 @@ addressed by these keys and persists across restarts, so a key that
 changes by one byte silently orphans every stored result.
 
 ``_spec_token`` still carries literals where retired spec fields used to
-be (the conflict-encoding mode, the warm-start cutoff); this lock is what
-proves those literals keep the persisted keys unchanged.
+be (the solver backend, the warm-start switch, the conflict-encoding
+mode, the warm-start cutoff); this lock is what proves those literals
+keep the persisted keys unchanged.  Spec JSON written before the solver
+backend and warm-start fields were retired still carries them; it must
+load and address the same stored results.
 
 Regenerate (only in a change that explains why the keys moved)::
 
@@ -23,8 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.assays import benchmark_assay
+from repro.errors import SerializationError
 from repro.hls import SynthesisSpec
 from repro.hls.cache import fingerprint_run
+from repro.io.json_io import spec_from_json, spec_to_json
 
 GOLDEN = Path(__file__).parent / "data" / "run_fingerprints.json"
 
@@ -48,6 +53,49 @@ def fingerprint(name: str) -> str:
 def test_run_fingerprint_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())
     assert fingerprint(name) == golden[name]
+
+
+def legacy_spec_json(**retired) -> dict:
+    """Spec JSON as clients and journal records wrote it while the solver
+    backend and warm-start knobs existed (their defaults: auto, true)."""
+    data = spec_to_json(SynthesisSpec())
+    data.update({"backend": "auto", "enable_warm_start": True})
+    data.update(retired)
+    return data
+
+
+def test_spec_json_no_longer_carries_retired_fields():
+    data = spec_to_json(SynthesisSpec())
+    assert "backend" not in data
+    assert "enable_warm_start" not in data
+
+
+@pytest.mark.parametrize("backend", ("auto", "highs"))
+def test_legacy_spec_json_keeps_the_stored_key(backend):
+    golden = json.loads(GOLDEN.read_text())
+    spec = spec_from_json(legacy_spec_json(backend=backend))
+    assert fingerprint_run(benchmark_assay(1), spec) == golden["case1"]
+
+
+@pytest.mark.parametrize(
+    "retired, option",
+    (
+        ({"backend": "bnb"}, "backend"),
+        ({"backend": "gurobi"}, "backend"),
+        ({"enable_warm_start": False}, "enable_warm_start"),
+        ({"enable_warm_start": 1}, "enable_warm_start"),
+    ),
+)
+def test_legacy_spec_json_rejects_removed_options(retired, option):
+    with pytest.raises(SerializationError, match=option):
+        spec_from_json(legacy_spec_json(**retired))
+
+
+def test_bnb_scheduler_is_rejected():
+    data = spec_to_json(SynthesisSpec())
+    data["scheduler"] = "ilp-bnb"
+    with pytest.raises(SerializationError, match="ilp-bnb"):
+        spec_from_json(data)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,13 @@ class TestEndpoints:
             client.submit({"format": 1}, method="quantum")
         assert err.value.status == 400
 
+    def test_removed_solver_backend_400(self, client, linear_assay):
+        """Old clients may still ask for the retired pure-Python solver."""
+        with pytest.raises(ServiceError) as err:
+            client.submit(linear_assay, spec={"backend": "bnb"})
+        assert err.value.status == 400
+        assert "backend" in str(err.value)
+
 
 class TestSolves:
     def test_server_result_equals_direct(self, client, linear_assay):

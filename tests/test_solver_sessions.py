@@ -2,12 +2,11 @@
 (repro.ilp.model / repro.hls.session / repro.hls.milp_model)."""
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, SolverError
+from repro.errors import ModelError
 from repro.hls import SessionPool, SynthesisSpec
 from repro.hls.backends import _run_layer_solve
 from repro.hls.cache import structural_fingerprint_layer_problem
@@ -17,8 +16,9 @@ from repro.hls.milp_model import (
     build_layer_model,
     encode_layer_delta,
 )
-from repro.ilp import Model, ModelDelta, SolveStatus, attach, available_backends
-from repro.ilp.solve import solve
+from repro.ilp import Model, ModelDelta, SolveStatus
+from repro.ilp.bnb import solve_bnb
+from repro.ilp.highs import HighsSession, solve_highs
 
 COUNTER = itertools.count()
 
@@ -131,28 +131,29 @@ class TestModelMutation:
         before = m.revision
         delta.apply_to(m)
         assert m.revision == before + 3
-        solution = solve(m, backend=available_backends()[0])
+        solution = m.solve()
         assert solution.status is SolveStatus.OPTIMAL
         # min 3x+2y+1.5 s.t. x+y>=6 -> all y.
         assert solution.objective == pytest.approx(13.5)
 
     def test_update_coefficient_on_presolved_away_variable(self):
-        # Presolve folds the singleton row on x into its bounds and can
-        # eliminate the variable from the reduced form; mutating that
-        # coefficient afterwards must still re-solve correctly because
-        # each solve re-extracts from the (mutated) model, not from the
-        # earlier presolve reduction.
+        # HiGHS's presolve folds the singleton row on x into its bounds and
+        # can eliminate the variable from the reduced form; mutating that
+        # coefficient afterwards must still re-solve correctly because the
+        # session re-extracts the dirtied row from the (mutated) model.
         m = Model("pre")
         x = m.integer("x", lb=0, ub=100)
         y = m.integer("y", lb=0, ub=100)
         m.add(2 * x <= 9, name="cap")  # singleton: folds to x <= 4
         m.add(x + y >= 6, name="cover")
         m.minimize(x + 3 * y)
-        first = solve(m, backend="bnb")
+        session = HighsSession(m)
+        first = session.solve()
         assert first.objective == pytest.approx(4 + 3 * 2)
         m.set_coefficient("cap", x, 4.0)  # now x <= 2
-        second = solve(m, backend="bnb")
+        second = session.solve()
         assert second.objective == pytest.approx(2 + 3 * 4)
+        assert solve_bnb(m).objective == pytest.approx(second.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +161,11 @@ class TestModelMutation:
 # ---------------------------------------------------------------------------
 
 
-def session_backends():
-    return list(available_backends())
+#: The one-shot solve a session is checked against: HiGHS itself, and the
+#: branch-and-bound oracle.
+SOLVERS = pytest.mark.parametrize(
+    "solve", (solve_highs, solve_bnb), ids=("highs", "bnb")
+)
 
 
 class TestSolverSessions:
@@ -176,20 +180,20 @@ class TestSolverSessions:
         m.maximize(sum(v * x for v, x in zip(values, xs)))
         return m, xs
 
-    @pytest.mark.parametrize("backend", session_backends())
-    def test_session_matches_direct_solve(self, backend):
+    @SOLVERS
+    def test_session_matches_direct_solve(self, solve):
         m, _ = self.knapsack()
-        direct = solve(m, backend=backend)
+        direct = solve(m)
         m2, _ = self.knapsack()
-        session = attach(m2, backend=backend)
+        session = HighsSession(m2)
         via_session = session.solve()
         assert via_session.objective == pytest.approx(direct.objective)
         session.close()
 
-    @pytest.mark.parametrize("backend", session_backends())
-    def test_delta_resolve_matches_scratch(self, backend):
+    @SOLVERS
+    def test_delta_resolve_matches_scratch(self, solve):
         m, xs = self.knapsack()
-        session = attach(m, backend=backend)
+        session = HighsSession(m)
         session.solve()
         delta = ModelDelta()
         delta.set_rhs("weight", 9)
@@ -202,14 +206,13 @@ class TestSolverSessions:
             4 * ys[0] + 3 * ys[1] + 2 * ys[2] + 5 * ys[3] <= 9, name="weight"
         )
         scratch.maximize(9 * ys[0] + 4 * ys[1] + 3 * ys[2] + 7 * ys[3])
-        expected = solve(scratch, backend=backend)
+        expected = solve(scratch)
         assert mutated.objective == pytest.approx(expected.objective)
         session.close()
 
     def test_highs_session_form_identity_after_mutations(self):
-        pytest.importorskip("scipy")
         m, xs = self.knapsack()
-        session = attach(m, backend="highs")
+        session = HighsSession(m)
         delta = ModelDelta()
         delta.set_rhs("weight", 8)
         delta.set_coefficient("weight", xs[2], 1.0)
@@ -217,51 +220,6 @@ class TestSolverSessions:
         session.apply(delta)
         assert forms_equal(session._form(), m.to_standard_form())
         session.close()
-
-    def test_bnb_session_carries_incumbent(self):
-        m, _ = self.knapsack()
-        session = attach(m, backend="bnb")
-        first = session.solve()
-        assert first.status is SolveStatus.OPTIMAL
-        assert session._incumbent is not None
-        follow = session.solve()
-        assert follow.objective == pytest.approx(first.objective)
-        assert follow.stats is not None and follow.stats.warm_started
-        session.close()
-        assert session._incumbent is None
-
-    def test_bnb_session_drops_invalidated_incumbent(self):
-        m, xs = self.knapsack()
-        session = attach(m, backend="bnb")
-        session.solve()
-        delta = ModelDelta()
-        # Forbid everything the incumbent picked: it no longer validates.
-        delta.set_rhs("weight", 2)
-        session.apply(delta)
-        follow = session.solve()
-        assert follow.status is SolveStatus.OPTIMAL
-        assert follow.objective == pytest.approx(3.0)  # only x2 fits
-        session.close()
-
-    def test_attach_unknown_backend(self):
-        m, _ = self.knapsack()
-        with pytest.raises(SolverError, match="unknown"):
-            attach(m, backend="gurobi")
-
-    def test_missing_scipy_reports_backend_choices(self, monkeypatch):
-        # Satellite: backend="highs" without SciPy must raise SolverError
-        # naming the missing dependency and the available backends, not a
-        # bare ImportError from deep inside the import chain.
-        import repro.ilp as ilp_pkg
-        import repro.ilp.solve as solve_mod
-
-        monkeypatch.delattr(ilp_pkg, "highs", raising=False)
-        monkeypatch.setitem(sys.modules, "repro.ilp.highs", None)
-        monkeypatch.setattr(solve_mod, "_HAS_SCIPY", None, raising=False)
-        m, _ = self.knapsack()
-        with pytest.raises(SolverError, match="SciPy") as excinfo:
-            solve(m, backend="highs")
-        assert "bnb" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +313,7 @@ class TestLayerDelta:
         session = pool.acquire(changed, spec)
         via_session = _run_layer_solve(session.layer_model, session.solver, spec)
         scratch = build_layer_model(changed, spec)
-        direct = scratch.model.solve(
-            backend=spec.backend, time_limit=spec.time_limit
-        )
+        direct = scratch.model.solve(time_limit=spec.time_limit)
         assert via_session.status is SolveStatus.OPTIMAL
         assert via_session.objective == pytest.approx(direct.objective)
         pool.close()
