@@ -180,7 +180,7 @@ def format_profile(profile: dict) -> str:
     """Render a :func:`synthesis_profile` dict as an aligned text table."""
     lines = [
         f"{'pass':<9} {'layer':>5} {'backend':<9} {'status':<10} "
-        f"{'cache':<5} {'warm':<4} {'nodes':>7} {'simplex':>8} "
+        f"{'cache':<5} {'nodes':>7} "
         f"{'build':>8} {'encode':>8} {'solve':>8} {'bound':>9} {'gap':>6}"
     ]
     for record in profile.get("passes", []):
@@ -190,8 +190,7 @@ def format_profile(profile: dict) -> str:
             lines.append(
                 f"{record['label']:<9} {stats.layer:>5} {stats.backend:<9} "
                 f"{stats.status:<10} {source:<5} "
-                f"{'yes' if stats.warm_started else 'no':<4} "
-                f"{stats.nodes:>7} {stats.simplex_iterations:>8} "
+                f"{stats.nodes:>7} "
                 f"{stats.build_time:>7.3f}s {stats.encode_time:>7.3f}s "
                 f"{stats.solve_time:>7.3f}s "
                 f"{_format_bound(stats.lower_bound):>9} "
@@ -212,7 +211,6 @@ def format_profile(profile: dict) -> str:
         f"totals: {totals.get('ilp_solves', 0)} layer solve(s), "
         f"{totals.get('cache_hits', 0)} cache hit(s), "
         f"{totals.get('nodes', 0)} node(s), "
-        f"{totals.get('simplex_iterations', 0)} simplex iteration(s), "
         f"build {totals.get('build_time', 0.0):.3f}s, "
         f"encode {totals.get('encode_time', 0.0):.3f}s, "
         f"solve {totals.get('solve_time', 0.0):.3f}s, "

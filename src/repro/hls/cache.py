@@ -28,6 +28,7 @@ from functools import lru_cache
 from ..devices.device import GeneralDevice
 from ..ilp import SolveStats
 from ..operations.assay import Assay
+from ..operations.operation import Operation
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
 from .schedule import LayerSchedule, OpPlacement
@@ -61,6 +62,32 @@ def _cached_token(device: GeneralDevice) -> tuple[tuple, str]:
         token = _device_token(device)
         pair = device.__dict__["_cache_token"] = (token, repr(token))
         return pair
+
+
+def _op_token_repr(op: Operation) -> str:
+    """``repr`` of an operation's entry in the layer ops token, computed
+    once per operation object.
+
+    Operations (and their durations) are frozen, so the string never goes
+    stale; it is kept in the instance dict like :func:`_cached_token`.
+    """
+    try:
+        return op.__dict__["_layer_token"]
+    except KeyError:
+        text = op.__dict__["_layer_token"] = repr(
+            (
+                op.uid,
+                op.duration.scheduled,
+                op.is_indeterminate,
+                op.requirement_signature(),
+            )
+        )
+        return text
+
+
+def _ops_repr(ops: list[Operation]) -> str:
+    """``repr`` of a layer problem's ops token, from cached entries."""
+    return _tuple_repr([_op_token_repr(op) for op in ops])
 
 
 def _tuple_repr(parts: list[str]) -> str:
@@ -131,6 +158,26 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
             ),
         ),
     )
+
+
+@dataclass
+class LayerKeyMemo:
+    """What one synthesis run's layer fingerprints share.
+
+    Built when the run's pass loop starts and dropped with the run, so a
+    caller that edits the (mutable) spec between runs never meets a stale
+    entry.  ``spec_repr`` is the ``repr`` of the spec token, taken once
+    per run instead of once per layer; ``pairs`` holds the reprs of
+    canonical path pairs met so far, per :func:`_int_tables` size and pair
+    code (see :func:`_paths_repr`).
+    """
+
+    spec_repr: str
+    pairs: dict[int, dict[int, str]] = field(default_factory=dict)
+
+    @classmethod
+    def for_spec(cls, spec: SynthesisSpec) -> "LayerKeyMemo":
+        return cls(spec_repr=repr(_spec_token(spec)))
 
 
 def _run_spec_token(spec: SynthesisSpec) -> tuple:
@@ -224,7 +271,11 @@ def _sorted_token(items) -> tuple:
         return tuple(sorted(items, key=_ref_order))
 
 
-def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str:
+def fingerprint_layer_problem(
+    problem: LayerProblem,
+    spec: SynthesisSpec,
+    memo: LayerKeyMemo | None = None,
+) -> str:
     """Canonical fingerprint of one layer solve's complete input.
 
     Covers the ops (durations, component requirements, indeterminacy), the
@@ -234,7 +285,12 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
     transportation paths, and the solve-relevant spec fields.  Fixed-device
     uids are replaced by their list position, so renaming the inventory
     between passes does not break matching.
+
+    ``memo`` is the run's :class:`LayerKeyMemo` for ``spec``; without one
+    the spec token is taken afresh.  Either way the key is the same.
     """
+    if memo is None:
+        memo = LayerKeyMemo.for_spec(spec)
     fixed = problem.fixed_devices
     canon = {d.uid: i for i, d in enumerate(fixed)}
 
@@ -243,15 +299,6 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
         # the raw string: correct, merely less shareable.
         return canon.get(uid, uid)
 
-    ops_token = tuple(
-        (
-            op.uid,
-            op.duration.scheduled,
-            op.is_indeterminate,
-            op.requirement_signature(),
-        )
-        for op in problem.ops
-    )
     edges_token = tuple(
         sorted(
             (parent, child, problem.edge_transport[(parent, child)])
@@ -275,31 +322,34 @@ def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str
             for (parent, dev), weight in problem.storage_out.items()
         ),
     )
-    # The reprs of the payload tuple's items: the devices and paths tokens
-    # are the bulk and are built from cached reprs.
+    # The reprs of the payload tuple's items: the ops, devices, paths and
+    # spec tokens are built from cached reprs.
     payload = [
         repr("layer-solve-v1"),
         repr(problem.layer_index),
-        repr(ops_token),
+        _ops_repr(problem.ops),
         repr(edges_token),
         repr(release_token),
         _tuple_repr([_cached_token(d)[1] for d in fixed]),
         repr(problem.free_slots),
         repr(incoming_token),
         repr(outgoing_token),
-        _paths_repr(problem.existing_paths, canon),
+        _paths_repr(problem.existing_paths, canon, memo.pairs),
         repr(storage_token),
-        repr(_spec_token(spec)),
+        memo.spec_repr,
     ]
     return hashlib.sha256(_tuple_repr(payload).encode()).hexdigest()
 
 
-def _paths_repr(paths, canon: dict[str, int]) -> str:
+def _paths_repr(
+    paths, canon: dict[str, int], pair_reprs: dict[int, dict[int, str]]
+) -> str:
     """``repr`` of the canonical paths token of a layer problem.
 
     Each path becomes the pair of its ends' fixed-device positions, the
     end with the lexicographically smaller ``repr`` first, and the pairs
-    are sorted.
+    are sorted.  A pair is coded as one int, ``first * size + second``;
+    ``pair_reprs[size]`` caches the repr of each code met.
     """
     # Tables sized to a power of two, so few sizes are ever cached.
     size = 1 << max(canon.values(), default=0).bit_length()
@@ -312,9 +362,14 @@ def _paths_repr(paths, canon: dict[str, int]) -> str:
     except KeyError:
         return repr(_sorted_token(_canon_path(a, b, canon) for a, b in paths))
     codes.sort()
-    return _tuple_repr(
-        [f"({reprs[c // size]}, {reprs[c % size]})" for c in codes]
-    )
+    known = pair_reprs.setdefault(size, {})
+    parts = []
+    for code in codes:
+        text = known.get(code)
+        if text is None:
+            text = known[code] = f"({reprs[code // size]}, {reprs[code % size]})"
+        parts.append(text)
+    return _tuple_repr(parts)
 
 
 def _canon_path(a: str, b: str, canon: dict[str, int]) -> tuple:
@@ -340,35 +395,28 @@ def structural_fingerprint_layer_problem(
     on them (it sorts device pairs by uid ``repr`` when laying out path
     variables).
     """
-    ops_token = tuple(
-        (
-            op.uid,
-            op.duration.scheduled,
-            op.is_indeterminate,
-            op.requirement_signature(),
-        )
-        for op in problem.ops
-    )
     devices_token = tuple(
         (d.uid, _cached_token(d)[0]) for d in problem.fixed_devices
     )
-    payload = (
-        "layer-session-v1",
-        problem.layer_index,
-        ops_token,
-        tuple(sorted(problem.in_layer_edges)),
-        devices_token,
-        problem.free_slots,
-        tuple(sorted(problem.incoming)),
-        tuple(sorted(problem.outgoing)),
-        tuple(sorted(problem.existing_paths)),
-        (
-            tuple(sorted(problem.storage_in.items())),
-            tuple(sorted(problem.storage_out.items())),
+    payload = [
+        repr("layer-session-v1"),
+        repr(problem.layer_index),
+        _ops_repr(problem.ops),
+        repr(tuple(sorted(problem.in_layer_edges))),
+        repr(devices_token),
+        repr(problem.free_slots),
+        repr(tuple(sorted(problem.incoming))),
+        repr(tuple(sorted(problem.outgoing))),
+        repr(tuple(sorted(problem.existing_paths))),
+        repr(
+            (
+                tuple(sorted(problem.storage_in.items())),
+                tuple(sorted(problem.storage_out.items())),
+            )
         ),
-        _spec_token(spec),
-    )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+        repr(_spec_token(spec)),
+    ]
+    return hashlib.sha256(_tuple_repr(payload).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -539,13 +587,18 @@ class LayerSolveCache:
             self.evictions += 1
 
     @staticmethod
-    def key(problem: LayerProblem, spec: SynthesisSpec) -> str:
-        """The cache key of ``problem`` (its canonical fingerprint).
+    def key(
+        problem: LayerProblem,
+        spec: SynthesisSpec,
+        memo: LayerKeyMemo | None = None,
+    ) -> str:
+        """The cache key of ``problem`` (its canonical fingerprint; ``memo``
+        is the run's :class:`LayerKeyMemo`, when it has one).
 
         :meth:`lookup` and :meth:`store` accept it precomputed, so a miss
         followed by a store fingerprints the problem once.
         """
-        return fingerprint_layer_problem(problem, spec)
+        return fingerprint_layer_problem(problem, spec, memo)
 
     def store(
         self,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..devices.device import GeneralDevice
 from ..errors import SchedulingError, SpecificationError
 from ..operations.operation import Operation
+from .cache import _cached_token
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
 from .schedule import LayerSchedule, OpPlacement
@@ -28,7 +29,6 @@ from .spec import SynthesisSpec
 class _Timeline:
     """Busy intervals of one device within the layer, kept sorted."""
 
-    device: GeneralDevice
     busy: list[tuple[int, int]] = field(default_factory=list)
 
     def earliest_fit(self, ready: int, length: int) -> int:
@@ -45,6 +45,28 @@ class _Timeline:
         insort(self.busy, (start, start + length))
 
 
+def _fit_memo(
+    device: GeneralDevice, slot: str, configs: dict[str, dict]
+) -> dict[tuple, bool]:
+    """``can_execute`` answers for ``device``'s configuration under one
+    binding mode, by requirement signature.
+
+    The memo is the frozen device's instance-dict entry ``slot`` (one per
+    binding mode), kept as :func:`repro.hls.cache._cached_token` keeps the
+    device token, so it lives as long as the device and never goes stale.
+    ``configs`` maps configuration reprs to memos already met: a device
+    without a memo adopts its configuration's, and a device with one
+    registers it.
+    """
+    config = _cached_token(device)[1]
+    memo = device.__dict__.get(slot)
+    if memo is None:
+        memo = device.__dict__[slot] = configs.setdefault(config, {})
+    else:
+        configs.setdefault(config, memo)
+    return memo
+
+
 def schedule_layer_greedy(
     problem: LayerProblem, spec: SynthesisSpec, uid_allocator, guide=None
 ) -> LayerSolveResult:
@@ -57,105 +79,130 @@ def schedule_layer_greedy(
     below — anything illegal falls back to the plain greedy choice, so a
     guided run is exactly as safe as an unguided one.  With ``guide=None``
     the behavior is byte-identical to the historical heuristic.
+
+    The work is proportional to the layer's ops and the devices that can
+    run them, not to the inherited inventory: timelines exist only for
+    devices the layer reserves, and legality is decided once per (device
+    configuration, requirement signature) pair.
     """
     mode = spec.binding_mode
     by_uid = {op.uid: op for op in problem.ops}
-    children: dict[str, list[str]] = {op.uid: [] for op in problem.ops}
     parents: dict[str, list[str]] = {op.uid: [] for op in problem.ops}
     for parent, child in problem.in_layer_edges:
-        children[parent].append(child)
         parents[child].append(parent)
 
-    timelines: dict[str, _Timeline] = {
-        d.uid: _Timeline(d) for d in problem.fixed_devices
-    }
+    # A device gets a timeline when it is first reserved.  An untouched
+    # device is free from ``ready`` on, so it needs none to be compared.
+    timelines: dict[str, _Timeline] = {}
     new_devices: list[GeneralDevice] = []
     slots_left = problem.free_slots
 
-    def occupancy(uid: str) -> int:
-        op = by_uid[uid]
-        return op.duration.scheduled + problem.release.get(uid, 0)
+    occupancy = {
+        op.uid: op.duration.scheduled + problem.release.get(op.uid, 0)
+        for op in problem.ops
+    }
+
+    def start_on(dev_uid: str, ready: int, length: int) -> int:
+        timeline = timelines.get(dev_uid)
+        return ready if timeline is None else timeline.earliest_fit(ready, length)
+
+    def reserve(dev_uid: str, start: int, length: int) -> None:
+        timeline = timelines.get(dev_uid)
+        if timeline is None:
+            timeline = timelines[dev_uid] = _Timeline()
+        timeline.reserve(start, length)
 
     pending: set[str] = {op.uid for op in problem.ops}
 
-    # Binding legality depends only on the device and the op's requirement
-    # signature (under COVER and EXACT alike), so it is decided once per
-    # (device, signature) pair, against one representative op.
+    # Binding legality depends only on the device's configuration and the
+    # op's requirement signature (under COVER and EXACT alike), so it is
+    # decided once per (configuration, signature) pair, against one
+    # representative op.  The answers are kept on the frozen devices
+    # (``_fit_memo``), so later layers and passes find them on the
+    # inherited devices, and ``configs`` hands a device the memo of a
+    # device met earlier in this layer with the same configuration.
     sig_of = {op.uid: op.requirement_signature() for op in problem.ops}
     sig_op: dict[tuple, Operation] = {}
     for op in problem.ops:
         sig_op.setdefault(sig_of[op.uid], op)
-    fit: dict[tuple[str, tuple], bool] = {}
+    memo_slot = "_fits_" + mode.value
+    configs: dict[str, dict[tuple, bool]] = {}
 
-    def fits(dev_uid: str, sig: tuple) -> bool:
-        ok = fit.get((dev_uid, sig))
+    def fits(device: GeneralDevice, sig: tuple, memo=None) -> bool:
+        if memo is None:
+            memo = _fit_memo(device, memo_slot, configs)
+        ok = memo.get(sig)
         if ok is None:
-            ok = fit[dev_uid, sig] = timelines[dev_uid].device.can_execute(
-                sig_op[sig], mode
-            )
+            ok = memo[sig] = device.can_execute(sig_op[sig], mode)
         return ok
 
     # A device can only run ops of its own binding key (capacity class
-    # under COVER, signature under EXACT), so devices are bucketed by that
-    # key, each bucket in ``timelines`` order, and a signature scans only
-    # its key's bucket.
-    buckets: dict[object, list[str]] = {}
-    for dev_uid, timeline in timelines.items():
-        buckets.setdefault(timeline.device.binding_key(mode), []).append(dev_uid)
-    key_of = {
-        sig: GeneralDevice.op_binding_key(op, mode) for sig, op in sig_op.items()
-    }
-
-    # Signature -> devices able to run it, in ``timelines`` order; filled
-    # on first use and extended by create_device.
-    fitting: dict[tuple, list[str]] = {}
-
-    def fitting_devices(sig: tuple) -> list[str]:
-        devices = fitting.get(sig)
-        if devices is None:
-            devices = fitting[sig] = [
-                d for d in buckets.get(key_of[sig], ()) if fits(d, sig)
-            ]
-        return devices
-
+    # under COVER, signature under EXACT), so it is only tested against
+    # the signatures of its key.
+    key_sigs: dict[object, list[tuple]] = {}
+    for sig, op in sig_op.items():
+        key_sigs.setdefault(GeneralDevice.op_binding_key(op, mode), []).append(
+            sig
+        )
+    # Every device the layer may bind to, and per signature the devices
+    # able to run it: fixed devices first, then new ones in creation order
+    # (the order ``slots_reserved`` matches in).
+    devices: dict[str, GeneralDevice] = {}
+    fitting: dict[tuple, list[str]] = {sig: [] for sig in sig_op}
     pending_fixed = Counter(
         sig_of[op.uid] for op in problem.ops if not op.is_indeterminate
     )
+    # Signatures with pending fixed ops and no fitting device: each one
+    # until ``add_device`` registers a device for it.  Scheduling an op
+    # proves its signature covered, so only adding a device changes the
+    # count.
+    uncovered = len(pending_fixed)
+
+    def add_device(device: GeneralDevice) -> None:
+        nonlocal uncovered
+        devices[device.uid] = device
+        sigs = key_sigs.get(device.binding_key(mode))
+        if not sigs:
+            return
+        memo = _fit_memo(device, memo_slot, configs)
+        for sig in sigs:
+            ok = memo.get(sig)
+            if ok or (ok is None and fits(device, sig, memo)):
+                able = fitting[sig]
+                if not able and pending_fixed[sig] > 0:
+                    uncovered -= 1
+                able.append(device.uid)
+
+    for device in problem.fixed_devices:
+        add_device(device)
     ind_uids = sorted(op.uid for op in problem.ops if op.is_indeterminate)
 
-    def slots_reserved(exclude_uid: str = "") -> int:
+    def slots_reserved(exclude_uid: str) -> int:
         """Slots that must stay available for still-unscheduled operations.
 
         One slot per requirement signature among pending fixed ops that no
         existing device can execute, plus one per pending indeterminate op
         that cannot be matched to a *distinct* compatible device (the
         indeterminate tail needs pairwise-different devices).
+        ``exclude_uid``, the op being placed, counts as scheduled.
         """
-        excluded_sig = (
-            sig_of[exclude_uid]
-            if exclude_uid in pending and not by_uid[exclude_uid].is_indeterminate
-            else None
-        )
-        uncovered = 0
-        for sig, count in pending_fixed.items():
-            if sig == excluded_sig:
-                count -= 1
-            if count > 0 and not fitting_devices(sig):
-                uncovered += 1
+        reserved = uncovered
+        if exclude_uid in pending and not by_uid[exclude_uid].is_indeterminate:
+            sig = sig_of[exclude_uid]
+            if pending_fixed[sig] == 1 and not fitting[sig]:
+                reserved -= 1
         matched: set[str] = set()
-        unmatched_ind = 0
         for uid in ind_uids:
             if uid == exclude_uid or uid not in pending:
                 continue
             choice = next(
-                (d for d in fitting_devices(sig_of[uid]) if d not in matched),
-                None,
+                (d for d in fitting[sig_of[uid]] if d not in matched), None
             )
             if choice is None:
-                unmatched_ind += 1
+                reserved += 1
             else:
                 matched.add(choice)
-        return uncovered + unmatched_ind
+        return reserved
 
     # Storage pressure (extension): ops with layer-crossing edges prefer
     # the fixed device already holding (or later consuming) their reagent,
@@ -175,12 +222,14 @@ def schedule_layer_greedy(
         """Pressured device whose extra wait costs less than the storage
         it avoids (``C_t * delay <= pressure``), earliest-start first."""
         best_pref: tuple[int, str] | None = None
+        sig = sig_of[uid]
         for dev_uid, weight in sorted(pressure[uid].items()):
-            if dev_uid in exclude or dev_uid not in timelines:
+            if dev_uid in exclude:
                 continue
-            if not fits(dev_uid, sig_of[uid]):
+            device = devices.get(dev_uid)
+            if device is None or not fits(device, sig):
                 continue
-            start = timelines[dev_uid].earliest_fit(ready, occupancy(uid))
+            start = start_on(dev_uid, ready, occupancy[uid])
             if spec.weights.time * (start - ready) > weight:
                 continue
             if best_pref is None or (start, dev_uid) < best_pref:
@@ -223,13 +272,8 @@ def schedule_layer_greedy(
             )
         else:
             device = GeneralDevice.for_operation(uid_allocator(), op, mode)
-        timelines[device.uid] = _Timeline(device)
+        add_device(device)
         new_devices.append(device)
-        key = device.binding_key(mode)
-        buckets.setdefault(key, []).append(device.uid)
-        for sig, devices in fitting.items():
-            if key_of[sig] == key and fits(device.uid, sig):
-                devices.append(device.uid)
         slots_left -= 1
         if slot is not None:
             slot_uid[slot] = device.uid
@@ -250,14 +294,14 @@ def schedule_layer_greedy(
                     return create_device(op, slot=pref), ready
                 return None
         elif isinstance(pref, str):
-            target = pref if pref in timelines else None
+            target = pref if pref in devices else None
         else:
             return None
         if target is None or target in exclude:
             return None
-        if not fits(target, sig_of[uid]):
+        if not fits(devices[target], sig_of[uid]):
             return None
-        return target, timelines[target].earliest_fit(ready, occupancy(uid))
+        return target, start_on(target, ready, occupancy[uid])
 
     def acquire_device(uid: str, ready: int, exclude: set[str]) -> tuple[str, int]:
         """Choose a device and start time; creates a device if needed.
@@ -267,16 +311,27 @@ def schedule_layer_greedy(
         feasible layer never dead-ends on slot exhaustion.
         """
         op = by_uid[uid]
+        length = occupancy[uid]
         best: tuple[int, str] | None = None
-        for dev_uid in fitting_devices(sig_of[uid]):
+        # Untouched devices all start at ``ready``: of those, only the
+        # smallest uid can win the ``(start, uid)`` comparison.
+        idle: str | None = None
+        for dev_uid in fitting[sig_of[uid]]:
             if dev_uid in exclude:
                 continue
-            start = timelines[dev_uid].earliest_fit(ready, occupancy(uid))
+            timeline = timelines.get(dev_uid)
+            if timeline is None:
+                if idle is None or dev_uid < idle:
+                    idle = dev_uid
+                continue
+            start = timeline.earliest_fit(ready, length)
             if best is None or (start, dev_uid) < best:
                 best = (start, dev_uid)
+        if idle is not None and (best is None or (ready, idle) < best):
+            best = (ready, idle)
         if guide is not None:
             can_create = slots_left > 0 and (
-                best is None or slots_left - 1 >= slots_reserved(exclude_uid=uid)
+                best is None or slots_left - 1 >= slots_reserved(uid)
             )
             preferred = preferred_choice(uid, ready, exclude, can_create)
             if preferred is not None:
@@ -297,7 +352,7 @@ def schedule_layer_greedy(
                 f"(|D|={spec.max_devices})"
             )
         # Discretionary creation (pure parallelism): keep the reservation.
-        if slots_left > 0 and slots_left - 1 >= slots_reserved(exclude_uid=uid):
+        if slots_left > 0 and slots_left - 1 >= slots_reserved(uid):
             return create_device(op), ready
         return best[1], best[0]
 
@@ -320,7 +375,7 @@ def schedule_layer_greedy(
             default=0,
         )
         dev_uid, start = acquire_device(uid, ready, exclude=set())
-        timelines[dev_uid].reserve(start, occupancy(uid))
+        reserve(dev_uid, start, occupancy[uid])
         binding[uid] = dev_uid
         finish[uid] = start + op.duration.scheduled
         pending.discard(uid)
@@ -343,9 +398,7 @@ def schedule_layer_greedy(
         for other in ind_ops:
             if other.uid == current_uid or other.uid not in pending:
                 continue
-            options = [
-                d for d in fitting_devices(sig_of[other.uid]) if d not in taken
-            ]
+            options = [d for d in fitting[sig_of[other.uid]] if d not in taken]
             if len(options) == 1:
                 reserved.add(options[0])
         return reserved
@@ -366,12 +419,12 @@ def schedule_layer_greedy(
             dev_uid, start = acquire_device(op.uid, ready, exclude=taken)
         # The op runs open-ended past its minimum, so its device must be
         # clear from `start` onwards: push past every existing reservation.
-        start = timelines[dev_uid].earliest_fit(start, 10**9)
+        start = start_on(dev_uid, start, 10**9)
         taken.add(dev_uid)
         binding[op.uid] = dev_uid
         ind_start[op.uid] = start
         pending.discard(op.uid)
-        timelines[dev_uid].reserve(start, occupancy(op.uid))
+        reserve(dev_uid, start, occupancy[op.uid])
 
     # Enforce (14): raise indeterminate starts until every start fits below
     # every indeterminate minimum completion.  Raising starts keeps all

@@ -31,7 +31,7 @@ from ..devices.device import GeneralDevice
 from ..layering import LayeringResult, layer_assay
 from ..operations.assay import Assay
 from .backends import create_scheduler
-from .cache import LayerSolveCache
+from .cache import LayerKeyMemo, LayerSolveCache
 from .context import PassState, SynthesisContext, beats
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
@@ -298,9 +298,10 @@ class LayerSolveStage:
         cache: LayerSolveCache | None = None,
         warm_from: LayerSolveResult | None = None,
         sessions: "SessionPool | None" = None,
+        keys: LayerKeyMemo | None = None,
     ) -> LayerSolveResult:
         if cache is not None:
-            key = cache.key(problem, spec)
+            key = cache.key(problem, spec, keys)
             replayed = cache.lookup(problem, spec, allocate_uid, key=key)
             if replayed is not None:
                 return replayed
@@ -368,6 +369,7 @@ class PassLoop:
         self.convergence = ConvergenceStage()
 
     def run(self, context: SynthesisContext) -> None:
+        context.layer_keys = LayerKeyMemo.for_spec(context.spec)
         current = self.run_pass(context, previous=None)
         context.history.append(self._record(context, 0, current))
         best = current
@@ -448,6 +450,7 @@ class PassLoop:
                 cache=context.cache,
                 warm_from=warm_from,
                 sessions=context.sessions,
+                keys=context.layer_keys,
             )
             timings["solve"] += time.monotonic() - stamp
 

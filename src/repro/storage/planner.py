@@ -62,17 +62,27 @@ def evictions(
     works as well as a finished result.
     """
     layer_of = layering.layer_of
+    # Per layer, device uid -> its placements ordered by (start, uid), as
+    # ``LayerSchedule.on_device`` lists them; built once instead of once
+    # per (edge, spanned layer).
+    on_device: list[dict[str, list]] = []
+    for layer in schedule.layers:
+        by_device: dict[str, list] = {}
+        for placement in layer.placements.values():
+            by_device.setdefault(placement.device_uid, []).append(placement)
+        for placements in by_device.values():
+            placements.sort(key=lambda p: (p.start, p.uid))
+        on_device.append(by_device)
     evicting: dict[tuple[str, str], str] = {}
     for parent, child in layering.cross_layer_edges():
         lp, lc = layer_of[parent], layer_of[child]
-        _, parent_placement = schedule.find(parent)
-        device_uid = parent_placement.device_uid
+        device_uid = schedule.layer(lp)[parent].device_uid
         child_start = schedule.layer(lc)[child].start
         for mid in range(lp + 1, lc + 1):
             evictor = next(
                 (
                     other.uid
-                    for other in schedule.layer(mid).on_device(device_uid)
+                    for other in on_device[mid].get(device_uid, ())
                     if other.uid != child
                     and (mid < lc or other.start < child_start)
                 ),

@@ -107,6 +107,25 @@ class TestProfileGuards:
         text = format_profile(self.empty_profile())
         assert "0 layer solve(s)" in text
 
+    def test_profile_table_has_no_dead_solver_columns(self):
+        from repro.experiments import format_profile
+
+        profile = self.empty_profile()
+        profile["passes"] = [{
+            "label": "Initial",
+            "layers": [{"layer": 0, "backend": "highs", "status": "optimal",
+                        "nodes": 7}],
+        }]
+        text = format_profile(profile)
+        header = text.splitlines()[0].split()
+        # HiGHS reports neither warm starts nor simplex iterations, so
+        # those columns and the iteration total always read no/0.
+        assert "warm" not in header and "simplex" not in header
+        assert "nodes" in header
+        assert "simplex" not in text
+        row = text.splitlines()[1].split()
+        assert row[:6] == ["Initial", "0", "highs", "optimal", "miss", "7"]
+
     def test_missing_totals_keys_format(self):
         from repro.experiments import format_profile
 

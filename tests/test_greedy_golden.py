@@ -1,10 +1,11 @@
 """Byte-identity lock on the greedy scheduler's output for generator assays.
 
 ``tests/data/greedy_golden.json`` holds the SHA-256 of
-``result_to_json(result, deterministic=True)`` for each case below.  It
-was recorded before the greedy scheduler's slot reservation became
-incremental; any change to a greedy schedule on these assays changes a
-digest.
+``result_to_json(result, deterministic=True)`` for each case below.  The
+greedy cases were recorded before the greedy scheduler's slot reservation
+became incremental, the approx-lp case before its inner loops were
+reworked (lazy timelines, memoized fit tests); any change to a greedy
+schedule on these assays changes a digest.
 
 Each case runs in a fresh interpreter with ``PYTHONHASHSEED=0``: greedy
 schedules of generator assays still depend on the string hash seed (set
@@ -30,13 +31,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "greedy_golden.json"
 
-#: name -> (num_ops, storage_mode, binding_mode)
+#: name -> (num_ops, storage_mode, binding_mode, scheduler)
 CASES = {
-    "n200-off": (200, "off", "cover"),
-    "n200-auto": (200, "auto", "cover"),
-    "n360-off": (360, "off", "cover"),
-    "n360-auto": (360, "auto", "cover"),
-    "n200-off-exact": (200, "off", "exact"),
+    "n200-off": (200, "off", "cover", "greedy"),
+    "n200-auto": (200, "auto", "cover", "greedy"),
+    "n360-off": (360, "off", "cover", "greedy"),
+    "n360-auto": (360, "auto", "cover", "greedy"),
+    "n200-off-exact": (200, "off", "exact", "greedy"),
+    # The LP-guided greedy (preferred bindings, guide-configured slots):
+    # three of its four layer solves are won by the rounded schedule.  Its
+    # largest layer LP takes about 0.5 s, far inside the 10 s LP budget,
+    # so the digest does not depend on machine speed.
+    "n24-auto-approx-lp": (24, "auto", "cover", "approx-lp"),
 }
 
 _DIGEST = """
@@ -45,10 +51,10 @@ from repro.assays import random_assay
 from repro.devices import BindingMode
 from repro.hls import SynthesisSpec, synthesize
 from repro.io import result_to_json
-n, storage, mode = {n}, {storage!r}, {mode!r}
+n, storage, mode, scheduler = {n}, {storage!r}, {mode!r}, {scheduler!r}
 assay = random_assay(n, seed=n, edge_probability=3 / n,
                      indeterminate_fraction=0.1)
-spec = SynthesisSpec(max_devices=n, threshold=3, scheduler="greedy",
+spec = SynthesisSpec(max_devices=n, threshold=3, scheduler=scheduler,
                      storage_mode=storage, binding_mode=BindingMode(mode))
 report = result_to_json(synthesize(assay, spec), deterministic=True)
 print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
@@ -56,10 +62,11 @@ print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
 
 
 def digest(case: str) -> str:
-    n, storage, mode = CASES[case]
+    n, storage, mode, scheduler = CASES[case]
+    script = _DIGEST.format(n=n, storage=storage, mode=mode, scheduler=scheduler)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
     run = subprocess.run(
-        [sys.executable, "-c", _DIGEST.format(n=n, storage=storage, mode=mode)],
+        [sys.executable, "-c", script],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     if run.returncode != 0:

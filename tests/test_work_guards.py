@@ -8,12 +8,14 @@ timing.
 from __future__ import annotations
 
 from repro.assays import random_assay
+from repro.devices import GeneralDevice
 from repro.graphs import DiGraph
-from repro.hls import SynthesisSpec, synthesize
+from repro.hls import HybridSchedule, LayerSchedule, SynthesisSpec, synthesize
 from repro.hls import cache as cache_module
 from repro.hls import pipeline
 from repro.layering import eviction, layer_assay
 from repro.operations import Assay
+from repro.storage import planner
 
 
 def _counting(monkeypatch, owner, name):
@@ -104,3 +106,42 @@ def test_device_tokens_are_computed_once_per_device(monkeypatch):
     # for 272 device objects.
     assert devices
     assert len(devices) == len({id(device) for device in devices})
+
+
+def test_greedy_tests_each_fit_once_per_configuration(monkeypatch):
+    fits = _counting(monkeypatch, GeneralDevice, "can_execute")
+    assay = _assay(440)
+    for storage in ("off", "auto"):
+        fits[0] = 0
+        spec = SynthesisSpec(
+            max_devices=440, threshold=3, scheduler="greedy",
+            storage_mode=storage,
+        )
+        synthesize(assay, spec)
+        # About 4,700 (off) and 5,200 (auto) with the fit memo kept on the
+        # devices; a memo per layer and device took 23,772 and 24,738.
+        assert 0 < fits[0] <= 6000, (storage, fits[0])
+
+
+def test_spec_token_is_taken_once_per_run(monkeypatch):
+    tokens = _counting(monkeypatch, cache_module, "_spec_token")
+    spec = SynthesisSpec(max_devices=440, threshold=3, scheduler="greedy")
+    result = synthesize(_assay(440), spec)
+    assert result.cache_counters["misses"] > 1
+    # One per layer fingerprint took 32.
+    assert tokens[0] == 1
+
+
+def test_eviction_scan_reads_an_index(monkeypatch):
+    scans = _counting(monkeypatch, planner, "evictions")
+    finds = _counting(monkeypatch, HybridSchedule, "find")
+    listings = _counting(monkeypatch, LayerSchedule, "on_device")
+    spec = SynthesisSpec(
+        max_devices=440, threshold=3, scheduler="greedy", storage_mode="auto"
+    )
+    synthesize(_assay(440), spec)
+    assert scans[0] > 0
+    # A layer scan per crossing edge and a sort per spanned layer took
+    # 1,011 finds and 5,329 listings.
+    assert finds[0] == 0
+    assert listings[0] == 0
