@@ -13,9 +13,16 @@ referred to by their position in ``problem.fixed_devices``, new devices by
 their slot index — so a hit replays cleanly into the current pass's
 inventory even though every pass re-allocates fresh device uids.  Replay
 maps the canonical references back onto the current fixed-device uids and
-materializes new devices through the caller's uid allocator, making a hit
-behaviorally indistinguishable from a deterministic re-solve (same
-schedule, same binding structure, same objective) at near-zero cost.
+materializes new devices through the caller's uid allocator, so a hit
+gives the stored schedule, binding structure and objective at near-zero
+cost.
+
+Only layers solved by a HiGHS-backed scheduler are cached
+(:class:`repro.hls.pipeline.LayerSolveStage`).  The greedy list scheduler
+breaks ties on raw device uids, which the key names by position, so a
+replayed greedy layer could differ from a fresh solve; and a greedy layer
+rarely poses a problem an earlier pass posed, so keying it is mostly
+cost.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from ..devices.device import GeneralDevice
 from ..ilp import SolveStats
@@ -97,17 +103,6 @@ def _tuple_repr(parts: list[str]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-@lru_cache(maxsize=16)
-def _int_tables(size: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """``repr(i)`` for ``i < size``, and each ``i``'s rank in the
-    lexicographic order of those reprs (so ranks compare like reprs)."""
-    reprs = tuple(repr(i) for i in range(size))
-    rank = [0] * size
-    for position, i in enumerate(sorted(range(size), key=reprs.__getitem__)):
-        rank[i] = position
-    return reprs, tuple(rank)
-
-
 def _spec_token(spec: SynthesisSpec) -> tuple:
     """The spec fields a layer solve depends on.
 
@@ -158,26 +153,6 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
             ),
         ),
     )
-
-
-@dataclass
-class LayerKeyMemo:
-    """What one synthesis run's layer fingerprints share.
-
-    Built when the run's pass loop starts and dropped with the run, so a
-    caller that edits the (mutable) spec between runs never meets a stale
-    entry.  ``spec_repr`` is the ``repr`` of the spec token, taken once
-    per run instead of once per layer; ``pairs`` holds the reprs of
-    canonical path pairs met so far, per :func:`_int_tables` size and pair
-    code (see :func:`_paths_repr`).
-    """
-
-    spec_repr: str
-    pairs: dict[int, dict[int, str]] = field(default_factory=dict)
-
-    @classmethod
-    def for_spec(cls, spec: SynthesisSpec) -> "LayerKeyMemo":
-        return cls(spec_repr=repr(_spec_token(spec)))
 
 
 def _run_spec_token(spec: SynthesisSpec) -> tuple:
@@ -271,11 +246,7 @@ def _sorted_token(items) -> tuple:
         return tuple(sorted(items, key=_ref_order))
 
 
-def fingerprint_layer_problem(
-    problem: LayerProblem,
-    spec: SynthesisSpec,
-    memo: LayerKeyMemo | None = None,
-) -> str:
+def fingerprint_layer_problem(problem: LayerProblem, spec: SynthesisSpec) -> str:
     """Canonical fingerprint of one layer solve's complete input.
 
     Covers the ops (durations, component requirements, indeterminacy), the
@@ -285,12 +256,7 @@ def fingerprint_layer_problem(
     transportation paths, and the solve-relevant spec fields.  Fixed-device
     uids are replaced by their list position, so renaming the inventory
     between passes does not break matching.
-
-    ``memo`` is the run's :class:`LayerKeyMemo` for ``spec``; without one
-    the spec token is taken afresh.  Either way the key is the same.
     """
-    if memo is None:
-        memo = LayerKeyMemo.for_spec(spec)
     fixed = problem.fixed_devices
     canon = {d.uid: i for i, d in enumerate(fixed)}
 
@@ -322,8 +288,11 @@ def fingerprint_layer_problem(
             for (parent, dev), weight in problem.storage_out.items()
         ),
     )
-    # The reprs of the payload tuple's items: the ops, devices, paths and
-    # spec tokens are built from cached reprs.
+    paths_token = _sorted_token(
+        _canon_path(a, b, canon) for a, b in problem.existing_paths
+    )
+    # The reprs of the payload tuple's items: the ops and devices tokens
+    # are built from cached reprs.
     payload = [
         repr("layer-solve-v1"),
         repr(problem.layer_index),
@@ -334,47 +303,16 @@ def fingerprint_layer_problem(
         repr(problem.free_slots),
         repr(incoming_token),
         repr(outgoing_token),
-        _paths_repr(problem.existing_paths, canon, memo.pairs),
+        repr(paths_token),
         repr(storage_token),
-        memo.spec_repr,
+        repr(_spec_token(spec)),
     ]
     return hashlib.sha256(_tuple_repr(payload).encode()).hexdigest()
 
 
-def _paths_repr(
-    paths, canon: dict[str, int], pair_reprs: dict[int, dict[int, str]]
-) -> str:
-    """``repr`` of the canonical paths token of a layer problem.
-
-    Each path becomes the pair of its ends' fixed-device positions, the
-    end with the lexicographically smaller ``repr`` first, and the pairs
-    are sorted.  A pair is coded as one int, ``first * size + second``;
-    ``pair_reprs[size]`` caches the repr of each code met.
-    """
-    # Tables sized to a power of two, so few sizes are ever cached.
-    size = 1 << max(canon.values(), default=0).bit_length()
-    reprs, rank = _int_tables(size)
-    try:
-        codes = []
-        for a, b in paths:
-            i, j = canon[a], canon[b]
-            codes.append(i * size + j if rank[i] <= rank[j] else j * size + i)
-    except KeyError:
-        return repr(_sorted_token(_canon_path(a, b, canon) for a, b in paths))
-    codes.sort()
-    known = pair_reprs.setdefault(size, {})
-    parts = []
-    for code in codes:
-        text = known.get(code)
-        if text is None:
-            text = known[code] = f"({reprs[code // size]}, {reprs[code % size]})"
-        parts.append(text)
-    return _tuple_repr(parts)
-
-
 def _canon_path(a: str, b: str, canon: dict[str, int]) -> tuple:
-    """One path's canonical pair when an end may be an unknown uid (kept
-    as its raw string)."""
+    """One path's canonical pair: its ends' fixed-device positions (an
+    unknown uid kept as its raw string), smaller ``repr`` first."""
     ref_a = canon.get(a, a)
     ref_b = canon.get(b, b)
     return (ref_a, ref_b) if repr(ref_a) <= repr(ref_b) else (ref_b, ref_a)
@@ -587,18 +525,13 @@ class LayerSolveCache:
             self.evictions += 1
 
     @staticmethod
-    def key(
-        problem: LayerProblem,
-        spec: SynthesisSpec,
-        memo: LayerKeyMemo | None = None,
-    ) -> str:
-        """The cache key of ``problem`` (its canonical fingerprint; ``memo``
-        is the run's :class:`LayerKeyMemo`, when it has one).
+    def key(problem: LayerProblem, spec: SynthesisSpec) -> str:
+        """The cache key of ``problem`` (its canonical fingerprint).
 
         :meth:`lookup` and :meth:`store` accept it precomputed, so a miss
         followed by a store fingerprints the problem once.
         """
-        return fingerprint_layer_problem(problem, spec, memo)
+        return fingerprint_layer_problem(problem, spec)
 
     def store(
         self,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from ..devices.device import GeneralDevice
 from ..layering import LayeringResult
 from ..operations.assay import Assay
-from .cache import LayerKeyMemo, LayerSolveCache
+from .cache import LayerSolveCache
 from .decode import LayerSolveResult
 from .schedule import HybridSchedule
 from .session import SessionPool
@@ -199,9 +199,6 @@ class SynthesisContext:
     layering: LayeringResult | None = None
     #: the layering's edge index (``pipeline.layer_edge_index``).
     layer_edges: dict[int, LayerEdges] | None = None
-    #: what the run's layer fingerprints share (the spec token's repr,
-    #: path-pair reprs); made when the pass loop starts.
-    layer_keys: LayerKeyMemo | None = None
     history: list = field(default_factory=list)
     current: PassState | None = None
     best: PassState | None = None

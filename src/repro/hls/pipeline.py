@@ -31,7 +31,7 @@ from ..devices.device import GeneralDevice
 from ..layering import LayeringResult, layer_assay
 from ..operations.assay import Assay
 from .backends import create_scheduler
-from .cache import LayerKeyMemo, LayerSolveCache
+from .cache import LayerSolveCache
 from .context import PassState, SynthesisContext, beats
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
@@ -285,7 +285,9 @@ class LayerSolveStage:
     """Solve one layer: cache replay, else the scheduler backend.
 
     The scheduler backend is chosen by ``spec.scheduler`` (see
-    ``hls/backends.py``).
+    ``hls/backends.py``).  Layers of the ``greedy`` scheduler bypass the
+    cache (see ``hls/cache.py``): they are neither keyed, stored nor
+    replayed, so a greedy run leaves a given cache untouched.
     """
 
     name = "layer_solve"
@@ -298,19 +300,20 @@ class LayerSolveStage:
         cache: LayerSolveCache | None = None,
         warm_from: LayerSolveResult | None = None,
         sessions: "SessionPool | None" = None,
-        keys: LayerKeyMemo | None = None,
     ) -> LayerSolveResult:
-        if cache is not None:
-            key = cache.key(problem, spec, keys)
-            replayed = cache.lookup(problem, spec, allocate_uid, key=key)
-            if replayed is not None:
-                return replayed
         backend = create_scheduler(spec.scheduler)
+        if cache is None or spec.scheduler == "greedy":
+            return backend.solve(
+                problem, spec, allocate_uid, warm_from, sessions=sessions
+            )
+        key = cache.key(problem, spec)
+        replayed = cache.lookup(problem, spec, allocate_uid, key=key)
+        if replayed is not None:
+            return replayed
         result = backend.solve(
             problem, spec, allocate_uid, warm_from, sessions=sessions
         )
-        if cache is not None:
-            cache.store(problem, spec, result, key=key)
+        cache.store(problem, spec, result, key=key)
         return result
 
 
@@ -336,7 +339,12 @@ class StoragePlanStage:
 
 
 class ConvergenceStage:
-    """The paper's iteration rule plus full-cache-convergence early stop."""
+    """The paper's iteration rule plus full-cache-convergence early stop.
+
+    The early stop needs cache hits, so it never fires for greedy runs:
+    with a negative threshold they run ``max_iterations`` re-synthesis
+    passes unless a pass worsens the makespan by the threshold or more.
+    """
 
     name = "convergence"
 
@@ -369,7 +377,6 @@ class PassLoop:
         self.convergence = ConvergenceStage()
 
     def run(self, context: SynthesisContext) -> None:
-        context.layer_keys = LayerKeyMemo.for_spec(context.spec)
         current = self.run_pass(context, previous=None)
         context.history.append(self._record(context, 0, current))
         best = current
@@ -450,7 +457,6 @@ class PassLoop:
                 cache=context.cache,
                 warm_from=warm_from,
                 sessions=context.sessions,
-                keys=context.layer_keys,
             )
             timings["solve"] += time.monotonic() - stamp
 

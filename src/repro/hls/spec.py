@@ -150,7 +150,9 @@ class SynthesisSpec:
     #: another iteration").  A negative value means "iterate until the
     #: binding stops changing": passes continue through zero-improvement
     #: iterations until every layer replays from the solve cache (full
-    #: convergence) or ``max_iterations`` is exhausted.
+    #: convergence) or ``max_iterations`` is exhausted.  Greedy layers
+    #: never replay, so a greedy run stops only on this threshold or
+    #: after ``max_iterations``.
     improvement_threshold: float = 0.10
     #: hard cap on re-synthesis iterations (initial pass not counted).
     max_iterations: int = 4
@@ -159,7 +161,8 @@ class SynthesisSpec:
     allow_heuristic_fallback: bool = True
     #: memoize per-layer solves across re-synthesis passes: a layer whose
     #: inputs are unchanged replays the previous decoded result instead of
-    #: rebuilding and re-solving its ILP.
+    #: rebuilding and re-solving its ILP.  Greedy layers bypass the cache,
+    #: so for ``scheduler="greedy"`` this changes nothing.
     enable_solve_cache: bool = True
     #: LRU bound on the layer-solve cache (entries).  ``None`` = unbounded;
     #: long-lived processes (the synthesis service, campaign workers with

@@ -7,7 +7,7 @@ timing.
 
 from __future__ import annotations
 
-from repro.assays import random_assay
+from repro.assays import gene_expression_assay, random_assay
 from repro.devices import GeneralDevice
 from repro.graphs import DiGraph
 from repro.hls import HybridSchedule, LayerSchedule, SynthesisSpec, synthesize
@@ -44,11 +44,11 @@ def test_one_fingerprint_per_layer_solve(monkeypatch):
     )
     solves = _counting(monkeypatch, pipeline.LayerSolveStage, "solve")
     for storage in ("off", "auto"):
+        # The ILP path: only HiGHS-backed layers are keyed.
         spec = SynthesisSpec(
-            max_devices=120, threshold=3, scheduler="greedy",
-            storage_mode=storage,
+            max_devices=6, threshold=2, storage_mode=storage
         )
-        result = synthesize(_assay(120), spec)
+        result = synthesize(gene_expression_assay(cells=2), spec)
         assert result.cache_counters["misses"] > 0
     assert solves[0] > 0
     assert fingerprints[0] == solves[0]
@@ -123,13 +123,18 @@ def test_greedy_tests_each_fit_once_per_configuration(monkeypatch):
         assert 0 < fits[0] <= 6000, (storage, fits[0])
 
 
-def test_spec_token_is_taken_once_per_run(monkeypatch):
+def test_greedy_synthesis_takes_no_layer_key(monkeypatch):
+    fingerprints = _counting(
+        monkeypatch, cache_module, "fingerprint_layer_problem"
+    )
     tokens = _counting(monkeypatch, cache_module, "_spec_token")
     spec = SynthesisSpec(max_devices=440, threshold=3, scheduler="greedy")
     result = synthesize(_assay(440), spec)
-    assert result.cache_counters["misses"] > 1
-    # One per layer fingerprint took 32.
-    assert tokens[0] == 1
+    assert len(result.history) > 1
+    # Greedy layers bypass the layer-solve cache; keying them took 32
+    # fingerprints (one per layer solve) and a spec token per run.
+    assert fingerprints[0] == 0
+    assert tokens[0] == 0
 
 
 def test_eviction_scan_reads_an_index(monkeypatch):
