@@ -17,7 +17,7 @@ The aware plan can never cost more under the same weights, and must be
 stress assay in particular forces an eviction so hold-in-place is
 infeasible and distributed channel storage has to beat the reservoir.
 
-A second section re-runs one case with the approx-lp scheduler to check
+A second section re-runs one case with the lp-bound scheduler to check
 that LP certificates survive the storage terms: every certified layer
 solve must still satisfy ``lower_bound <= objective``.
 """
@@ -110,7 +110,7 @@ def test_storage_ablation_table(record_rows):
 def test_storage_aware_certificates():
     """LP bounds stay valid under storage-pressure objective terms."""
     spec = replace(
-        SPEC, scheduler="approx-lp", storage_mode="auto",
+        SPEC, scheduler="lp-bound", storage_mode="auto",
         time_limit=20.0, mip_gap=0.05,
     )
     result = synthesize(benchmark_assay(2), spec)

@@ -98,8 +98,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler", default="portfolio", choices=available_schedulers(),
         help="per-layer scheduler backend (default: portfolio — the paper "
-             "flow; lp-bound/approx-lp trade exactness for certified "
-             "LP-relaxation bounds)",
+             "flow; lp-bound trades exactness for a certified "
+             "LP-relaxation bound)",
     )
     parser.add_argument(
         "--no-solver-sessions", action="store_true",

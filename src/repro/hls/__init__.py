@@ -18,7 +18,6 @@ from .backends import (
     available_schedulers,
     create_scheduler,
     layer_cost,
-    register_scheduler,
 )
 from .cache import (
     LayerSolveCache,
@@ -62,7 +61,6 @@ __all__ = [
     "SchedulerBackend",
     "available_schedulers",
     "create_scheduler",
-    "register_scheduler",
     "layer_cost",
     "PassState",
     "SynthesisContext",

@@ -1,4 +1,4 @@
-"""Scheduler backends: pluggable strategies for one layer solve.
+"""Scheduler backends: the strategies for one layer solve.
 
 Extracted from the old monolithic ``synthesizer._solve_layer`` so the
 per-layer solve is a first-class, isolated stage.  A
@@ -10,11 +10,12 @@ per-layer solve is a first-class, isolated stage.  A
 * ``greedy`` — the list-scheduling heuristic alone;
 * ``lp-bound`` — the greedy schedule plus a certified LP-relaxation lower
   bound (no ILP search; the degraded service path pins this one);
-* ``approx-lp`` — LP relaxation, deterministic rounding, greedy repair,
-  raced against the plain greedy schedule (never worse than greedy);
 * ``portfolio`` (default) — the paper flow: the ILP raced against
   previous-pass reuse and the greedy schedule on :func:`layer_cost`, with
   the seed's fallback ladder.
+
+The module-level ``_SCHEDULERS`` dict is the closed list of names;
+:func:`create_scheduler` rejects any other.
 
 Every backend attaches certified-quality telemetry to its
 :class:`~repro.ilp.SolveStats`: the achieved layer objective, a proven
@@ -50,7 +51,6 @@ from .milp_model import (
     build_layer_model,
     encode_layer_start,
 )
-from .rounding import derive_rounding_guide
 from .schedule import LayerSchedule
 from .transport import path_key
 
@@ -545,84 +545,12 @@ class LpBoundBackend:
         return result
 
 
-class ApproxLpBackend:
-    """LP relaxation + deterministic rounding + greedy repair.
-
-    Solves the layer LP (polynomial, no branching), rounds the fractional
-    binding and slot configurations into a
-    :class:`~repro.hls.rounding.RoundingGuide`, and replays the greedy
-    list scheduler under that guide — every rounding decision that would
-    break feasibility falls back to the plain greedy rule, so the result
-    is always a valid layer schedule.  The unguided greedy schedule stays
-    in the race as a floor, so on any single layer problem approx-lp is
-    never worse than greedy on :func:`layer_cost`; the LP optimum is
-    attached as the certified lower bound.
-    """
-
-    name = "approx-lp"
-
-    def solve(
-        self,
-        problem: LayerProblem,
-        spec: "SynthesisSpec",
-        allocate_uid: Callable[[], str],
-        warm_from: LayerSolveResult | None = None,
-        sessions: "SessionPool | None" = None,
-    ) -> LayerSolveResult:
-        _load_highs()
-        build_started = time.monotonic()
-        layer_model = build_layer_model(problem, spec)
-        build_time = time.monotonic() - build_started
-        relaxed = _relaxation_bound(layer_model, spec)
-
-        candidates: list[LayerSolveResult] = []
-        if relaxed is not None:
-            guide = derive_rounding_guide(layer_model, relaxed.values)
-            try:
-                rounded = schedule_layer_greedy(
-                    problem, spec, _candidate_allocator(), guide=guide
-                )
-                rounded.solver_status = "rounded"
-                candidates.append(rounded)
-            except SchedulingError:
-                pass
-        try:
-            candidates.append(
-                schedule_layer_greedy(problem, spec, _candidate_allocator())
-            )
-        except SchedulingError as exc:
-            if not candidates:
-                raise SolverError(
-                    f"layer {problem.layer_index}: greedy scheduler failed: "
-                    f"{exc}"
-                ) from exc
-
-        # Rounded first: on a cost tie the LP-guided schedule wins, and the
-        # plain greedy floor guarantees "never worse than greedy".
-        winner = min(candidates, key=lambda c: layer_cost(c, problem, spec))
-        winner = rename_new_devices(winner, allocate_uid)
-        winner.stats = SolveStats(
-            layer=problem.layer_index,
-            backend="approx-lp",
-            status=winner.solver_status,
-            build_time=build_time,
-            encode_time=build_time,
-            solve_time=relaxed.runtime if relaxed is not None else 0.0,
-        )
-        _certify(
-            winner.stats, winner, problem, spec,
-            relaxed.objective if relaxed is not None else None,
-        )
-        return winner
-
-
-_SCHEDULERS: dict[str, Callable[[], SchedulerBackend]] = {}
-
-
-def register_scheduler(
-    name: str, factory: Callable[[], SchedulerBackend]
-) -> None:
-    _SCHEDULERS[name] = factory
+_SCHEDULERS: dict[str, Callable[[], SchedulerBackend]] = {
+    "portfolio": PortfolioBackend,
+    "greedy": GreedyBackend,
+    "ilp-highs": IlpBackend,
+    "lp-bound": LpBoundBackend,
+}
 
 
 def available_schedulers() -> tuple[str, ...]:
@@ -638,13 +566,6 @@ def create_scheduler(name: str) -> SchedulerBackend:
             f"unknown scheduler {name!r} (choices: {choices})"
         ) from None
     return factory()
-
-
-register_scheduler("portfolio", PortfolioBackend)
-register_scheduler("greedy", GreedyBackend)
-register_scheduler("ilp-highs", IlpBackend)
-register_scheduler("lp-bound", LpBoundBackend)
-register_scheduler("approx-lp", ApproxLpBackend)
 
 
 #: The scheduler a degraded (timeout-fallback) re-run pins: the greedy

@@ -1,8 +1,10 @@
-"""Greedy list-scheduling fallback for a layer.
+"""Greedy list scheduler for a layer.
 
-Used when the ILP hits its time limit without an incumbent (large layers on
-slow machines) so a synthesis run always produces a *valid* — if not optimal
-— hybrid schedule.  The heuristic respects every constraint the ILP
+The one greedy code path: the ``greedy`` scheduler runs it alone,
+``lp-bound`` pairs it with an LP-relaxation bound, and ``portfolio`` races
+it against the ILP and falls back to it when the ILP finds no incumbent in
+time, so a synthesis run always produces a *valid* — if not optimal —
+hybrid schedule.  The heuristic respects every constraint the ILP
 enforces: binding legality under the active mode, dependencies with
 transportation times, device exclusivity including release margins, the
 indeterminate tail rule (14), and pairwise-distinct devices for
@@ -16,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..devices.device import GeneralDevice
-from ..errors import SchedulingError, SpecificationError
+from ..errors import SchedulingError
 from ..operations.operation import Operation
 from .cache import _cached_token
 from .decode import LayerSolveResult
@@ -68,17 +70,9 @@ def _fit_memo(
 
 
 def schedule_layer_greedy(
-    problem: LayerProblem, spec: SynthesisSpec, uid_allocator, guide=None
+    problem: LayerProblem, spec: SynthesisSpec, uid_allocator
 ) -> LayerSolveResult:
     """Greedy feasible schedule for ``problem`` (see module docstring).
-
-    ``guide`` optionally supplies rounded LP-relaxation decisions (a
-    :class:`repro.hls.rounding.RoundingGuide`): a preferred binding per
-    operation and a device configuration per new slot.  Each preference is
-    honored only when it keeps the schedule feasible under the exact rules
-    below — anything illegal falls back to the plain greedy choice, so a
-    guided run is exactly as safe as an unguided one.  With ``guide=None``
-    the behavior is byte-identical to the historical heuristic.
 
     The work is proportional to the layer's ops and the devices that can
     run them, not to the inherited inventory: timelines exist only for
@@ -236,72 +230,13 @@ def schedule_layer_greedy(
                 best_pref = (start, dev_uid)
         return best_pref
 
-    # Guide slot index -> uid of the device materialized for that slot.
-    slot_uid: dict[int, str] = {}
-
-    def guide_template(op, slot: int):
-        """The guide's device config for ``slot`` when it can run ``op``."""
-        if guide is None:
-            return None
-        template = guide.slot_config.get(slot)
-        if template is None:
-            return None
-        kind, capacity, accessories, signature = template
-        try:
-            probe = GeneralDevice(
-                uid="guide-probe",
-                container=kind,
-                capacity=capacity,
-                accessories=frozenset(accessories),
-                signature=signature,
-            )
-        except SpecificationError:
-            return None
-        return probe if probe.can_execute(op, mode) else None
-
-    def create_device(op, slot: int | None = None) -> str:
+    def create_device(op) -> str:
         nonlocal slots_left
-        probe = guide_template(op, slot) if slot is not None else None
-        if probe is not None:
-            device = GeneralDevice(
-                uid=uid_allocator(),
-                container=probe.container,
-                capacity=probe.capacity,
-                accessories=probe.accessories,
-                signature=probe.signature,
-            )
-        else:
-            device = GeneralDevice.for_operation(uid_allocator(), op, mode)
+        device = GeneralDevice.for_operation(uid_allocator(), op, mode)
         add_device(device)
         new_devices.append(device)
         slots_left -= 1
-        if slot is not None:
-            slot_uid[slot] = device.uid
         return device.uid
-
-    def preferred_choice(
-        uid: str, ready: int, exclude: set[str], can_create: bool
-    ) -> tuple[str, int] | None:
-        """The guide's binding for ``uid``, when it is legal right now."""
-        pref = guide.choice.get(uid)
-        op = by_uid[uid]
-        if isinstance(pref, int):
-            target = slot_uid.get(pref)
-            if target is None:
-                # The preferred slot is not materialized yet: create it on
-                # demand, under the same slot-budget rule as any creation.
-                if can_create and guide_template(op, pref) is not None:
-                    return create_device(op, slot=pref), ready
-                return None
-        elif isinstance(pref, str):
-            target = pref if pref in devices else None
-        else:
-            return None
-        if target is None or target in exclude:
-            return None
-        if not fits(devices[target], sig_of[uid]):
-            return None
-        return target, start_on(target, ready, occupancy[uid])
 
     def acquire_device(uid: str, ready: int, exclude: set[str]) -> tuple[str, int]:
         """Choose a device and start time; creates a device if needed.
@@ -329,13 +264,6 @@ def schedule_layer_greedy(
                 best = (start, dev_uid)
         if idle is not None and (best is None or (ready, idle) < best):
             best = (ready, idle)
-        if guide is not None:
-            can_create = slots_left > 0 and (
-                best is None or slots_left - 1 >= slots_reserved(uid)
-            )
-            preferred = preferred_choice(uid, ready, exclude, can_create)
-            if preferred is not None:
-                return preferred
         if uid in pressure:
             pressured = pressured_choice(uid, ready, exclude)
             if pressured is not None:

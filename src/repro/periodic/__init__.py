@@ -15,7 +15,7 @@ Modules:
   layer, built once per II probe;
 * :mod:`~repro.periodic.greedy`    — the greedy modulo list scheduler;
 * :mod:`~repro.periodic.bound`     — LP-certified ResMII lower bounds;
-* :mod:`~repro.periodic.scheduler` — the II search, backend registry,
+* :mod:`~repro.periodic.scheduler` — the II search, backend table,
   and :class:`ThroughputResult`;
 * :mod:`~repro.periodic.validate`  — independent unrolled replay;
 * :mod:`~repro.periodic.variants`  — multi-variant shared-schedule
@@ -31,7 +31,6 @@ from .scheduler import (
     ThroughputResult,
     available_periodic_schedulers,
     create_periodic_scheduler,
-    register_periodic_scheduler,
     schedule_throughput,
 )
 from .validate import (
@@ -67,7 +66,6 @@ __all__ = [
     "greedy_modulo_schedule",
     "ii_lower_bound",
     "prefix_variant",
-    "register_periodic_scheduler",
     "resource_bound",
     "schedule_throughput",
     "shared_skeleton",

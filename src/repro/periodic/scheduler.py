@@ -1,8 +1,8 @@
 """The II search: probe candidate intervals, certify the result.
 
-Mirrors the one-shot flow's :mod:`repro.hls.backends` registry idiom —
-periodic scheduler backends are registered by name and selected through
-``spec.throughput_scheduler``:
+Mirrors the one-shot flow's :mod:`repro.hls.backends` table — periodic
+scheduler backends are listed by name in a module-level dict and selected
+through ``spec.throughput_scheduler``:
 
 * ``ilp``    — every probe builds and solves the modulo ILP of
   :mod:`repro.periodic.model`;
@@ -181,13 +181,11 @@ class AutoPeriodicScheduler(PeriodicSchedulerBackend):
         return self._greedy.attempt(problem, ii, search)
 
 
-_PERIODIC_SCHEDULERS: dict[str, Callable[[], PeriodicSchedulerBackend]] = {}
-
-
-def register_periodic_scheduler(
-    name: str, factory: Callable[[], PeriodicSchedulerBackend]
-) -> None:
-    _PERIODIC_SCHEDULERS[name] = factory
+_PERIODIC_SCHEDULERS: dict[str, Callable[[], PeriodicSchedulerBackend]] = {
+    "auto": AutoPeriodicScheduler,
+    "ilp": IlpPeriodicScheduler,
+    "greedy": GreedyPeriodicScheduler,
+}
 
 
 def available_periodic_schedulers() -> tuple[str, ...]:
@@ -205,11 +203,7 @@ def create_periodic_scheduler(name: str) -> PeriodicSchedulerBackend:
     return factory()
 
 
-register_periodic_scheduler("auto", AutoPeriodicScheduler)
-register_periodic_scheduler("ilp", IlpPeriodicScheduler)
-register_periodic_scheduler("greedy", GreedyPeriodicScheduler)
-
-# The registry must stay in lockstep with the spec-level enum the CLI and
+# The table must stay in lockstep with the spec-level enum the CLI and
 # service validate against.
 assert set(PERIODIC_SCHEDULERS) == set(_PERIODIC_SCHEDULERS)
 

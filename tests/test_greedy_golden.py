@@ -2,10 +2,9 @@
 
 ``tests/data/greedy_golden.json`` holds the SHA-256 of
 ``result_to_json(result, deterministic=True)`` for each case below.  The
-greedy cases were recorded before the greedy scheduler's slot reservation
-became incremental, the approx-lp case before its inner loops were
-reworked (lazy timelines, memoized fit tests); any change to a greedy
-schedule on these assays changes a digest.
+digests were recorded before the greedy scheduler's slot reservation
+became incremental; any change to a greedy schedule on these assays
+changes a digest.
 
 Each case runs in a fresh interpreter with ``PYTHONHASHSEED=0``: greedy
 schedules of generator assays still depend on the string hash seed (set
@@ -38,11 +37,6 @@ CASES = {
     "n360-off": (360, "off", "cover", "greedy"),
     "n360-auto": (360, "auto", "cover", "greedy"),
     "n200-off-exact": (200, "off", "exact", "greedy"),
-    # The LP-guided greedy (preferred bindings, guide-configured slots):
-    # three of its four layer solves are won by the rounded schedule.  Its
-    # largest layer LP takes about 0.5 s, far inside the 10 s LP budget,
-    # so the digest does not depend on machine speed.
-    "n24-auto-approx-lp": (24, "auto", "cover", "approx-lp"),
 }
 
 _DIGEST = """

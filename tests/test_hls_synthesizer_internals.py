@@ -7,7 +7,7 @@ import pytest
 
 from repro.components import Capacity, ContainerKind
 from repro.devices import GeneralDevice
-from repro.errors import ReproError, SpecificationError
+from repro.errors import ReproError, SerializationError, SpecificationError
 from repro.hls import (
     SynthesisSpec,
     UidAllocator,
@@ -19,6 +19,7 @@ from repro.hls.decode import LayerSolveResult
 from repro.hls.milp_model import LayerProblem
 from repro.hls.schedule import LayerSchedule, OpPlacement
 from repro.hls.synthesizer import layer_cost
+from repro.io.json_io import spec_from_json, spec_to_json
 from repro.operations import AssayBuilder, Fixed, Operation
 
 from .test_hls_pipeline_incremental import paths_excluding_layer
@@ -177,9 +178,19 @@ class TestSchedulerRegistry:
         with pytest.raises(ReproError):
             create_scheduler("simulated-annealing")
 
+    #: never-registered and retired scheduler names alike
+    UNKNOWN = ("simulated-annealing", "approx-lp")
+
     def test_spec_validates_scheduler(self):
-        with pytest.raises(SpecificationError):
-            SynthesisSpec(scheduler="simulated-annealing")
+        for name in self.UNKNOWN:
+            with pytest.raises(SpecificationError):
+                SynthesisSpec(scheduler=name)
+
+    def test_spec_json_validates_scheduler(self):
+        for name in self.UNKNOWN:
+            data = dict(spec_to_json(SynthesisSpec()), scheduler=name)
+            with pytest.raises(SerializationError):
+                spec_from_json(data)
 
     def test_backends_expose_names(self):
         for name in available_schedulers():

@@ -93,6 +93,13 @@ class TestEndpoints:
         assert err.value.status == 400
         assert "backend" in str(err.value)
 
+    def test_retired_scheduler_400(self, client, linear_assay):
+        """The retired approx-lp scheduler is an unknown scheduler."""
+        with pytest.raises(ServiceError) as err:
+            client.submit(linear_assay, spec={"scheduler": "approx-lp"})
+        assert err.value.status == 400
+        assert "approx-lp" in str(err.value)
+
 
 class TestSolves:
     def test_server_result_equals_direct(self, client, linear_assay):
