@@ -11,15 +11,16 @@ cache, or binding rule up front.
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..devices.device import GeneralDevice
+from ..devices.device import BindingMode, GeneralDevice
 from ..layering import LayeringResult
 from ..operations.assay import Assay
-from .cache import LayerSolveCache
+from .cache import LayerSolveCache, _cached_token
 from .decode import LayerSolveResult
 from .schedule import HybridSchedule
 from .session import SessionPool
@@ -48,12 +49,100 @@ class UidAllocator:
         return uid
 
 
+@dataclass(slots=True)
+class FitAnswers:
+    """``can_execute`` answers of one configuration under one binding
+    mode, by op requirement signature."""
+
+    #: the configuration's binding key under the mode
+    #: (:meth:`GeneralDevice.binding_key`).
+    key: object
+    #: signatures the configuration can run.
+    fits: set[tuple] = field(default_factory=set)
+    #: signatures it cannot run.
+    misses: set[tuple] = field(default_factory=set)
+
+
+class InventoryIndex:
+    """A device inventory grouped by configuration.
+
+    Under component-oriented binding (and the EXACT baseline alike),
+    whether a device can run an op depends only on the device's
+    configuration: container, capacity, accessories and signature, the
+    uid-free ``_device_token``.  A layer solve therefore decides legality
+    once per configuration and hands the answer to all of its devices.
+
+    ``uids`` maps each configuration (the token's repr) to its devices'
+    uids in inventory order.  The other three fields only ever grow and
+    are shared by every :meth:`copy`, so a copy taken for a layer problem
+    stays valid while the pass goes on:
+
+    * ``position`` numbers every device ever added, increasing in
+      inventory order, to merge the uids of several configurations;
+    * ``representative`` keeps one device per configuration met, the one
+      legality is tested on;
+    * ``answers`` maps a binding mode and a configuration to its
+      :class:`FitAnswers`.
+
+    They belong to one run (one chain of :class:`PassState`), not to the
+    process, so a long-lived service does not accumulate them.
+    """
+
+    def __init__(self) -> None:
+        self.uids: dict[str, tuple[str, ...]] = {}
+        self.position: dict[str, int] = {}
+        self.representative: dict[str, GeneralDevice] = {}
+        self.answers: dict[BindingMode, dict[str, FitAnswers]] = {}
+        self._order = itertools.count()
+
+    @classmethod
+    def of(cls, devices: Iterable[GeneralDevice]) -> InventoryIndex:
+        """The index of ``devices``, in their order."""
+        index = cls()
+        for device in devices:
+            index.add(device)
+        return index
+
+    def copy(self) -> InventoryIndex:
+        """An index of the same inventory; later changes to either one's
+        devices do not show in the other."""
+        index = InventoryIndex()
+        index.uids = dict(self.uids)
+        index.position = self.position
+        index.representative = self.representative
+        index.answers = self.answers
+        index._order = self._order
+        return index
+
+    def add(self, device: GeneralDevice) -> None:
+        """Append ``device`` to the inventory."""
+        config = _cached_token(device)[1]
+        uid = device.uid
+        self.uids[config] = self.uids.get(config, ()) + (uid,)
+        self.position[uid] = next(self._order)
+        self.representative.setdefault(config, device)
+
+    def drop(self, device: GeneralDevice) -> None:
+        """Remove ``device`` from the inventory."""
+        config = _cached_token(device)[1]
+        uids = tuple(uid for uid in self.uids[config] if uid != device.uid)
+        if uids:
+            self.uids[config] = uids
+        else:
+            del self.uids[config]
+
+
 class PassState:
     """State of one synthesis pass over all layers.
 
     ``layer_edges`` is the layering's edge index
     (:func:`repro.hls.pipeline.layer_edge_index`), shared by every pass;
     a state without one can hold results but not bind layers.
+
+    ``devices``, ``born`` and ``inventory`` change together, through
+    :meth:`add_device` and :meth:`drop_device`; ``binding``,
+    ``path_counts`` and ``refs`` change together, through
+    :meth:`bind_layer`.
     """
 
     def __init__(
@@ -62,12 +151,23 @@ class PassState:
         self.layer_edges = layer_edges or {}
         self.devices: dict[str, GeneralDevice] = {}
         self.born: dict[str, int] = {}
+        #: ``devices`` by configuration (see :class:`InventoryIndex`).
+        self.inventory = InventoryIndex()
         self.results: dict[int, LayerSolveResult] = {}
         self.binding: dict[str, str] = {}
         #: path key -> number of assay edges whose ends ``binding`` maps
-        #: onto that pair of distinct devices.  Changed only by
-        #: :meth:`bind_layer`, so it always matches ``binding``.
+        #: onto that pair of distinct devices.
         self.path_counts: dict[tuple[str, str], int] = {}
+        #: device uid -> number of ops ``binding`` maps onto it (devices
+        #: with none are absent).
+        self.refs: dict[str, int] = {}
+        #: ``(layer index, layer_paths(layer index))`` of the last
+        #: :meth:`layer_paths` call; ``binding`` changes only through
+        #: :meth:`bind_layer`, whose last step is such a call, so it
+        #: always matches ``binding``.
+        self._layer_paths: tuple[int, dict[tuple[str, str], int]] | None = (
+            None
+        )
         #: per-edge transportation estimates this pass was built with.
         self.transport_snapshot: dict[tuple[str, str], int] = {}
         #: frozen estimator state matching ``transport_snapshot``.
@@ -81,26 +181,61 @@ class PassState:
         state = PassState(self.layer_edges)
         state.devices = dict(self.devices)
         state.born = dict(self.born)
+        state.inventory = self.inventory.copy()
         state.binding = dict(self.binding)
         state.path_counts = dict(self.path_counts)
+        state.refs = dict(self.refs)
         return state
 
+    def add_device(self, device: GeneralDevice, layer_index: int) -> None:
+        """Add ``device``, born in layer ``layer_index``, to the inventory."""
+        self.devices[device.uid] = device
+        self.born[device.uid] = layer_index
+        self.inventory.add(device)
+
+    def drop_device(self, uid: str) -> None:
+        """Remove device ``uid`` from the inventory."""
+        self.inventory.drop(self.devices.pop(uid))
+        del self.born[uid]
+
     def bind_layer(self, layer_index: int, binding: dict[str, str]) -> None:
-        """Bind layer ``layer_index``'s ops, keeping ``path_counts`` in
-        step: only the layer's own edges can change their path."""
+        """Bind layer ``layer_index``'s ops, keeping ``path_counts`` and
+        ``refs`` in step: only the layer's own edges can change their
+        path."""
         counts = self.path_counts
-        for key, count in self.layer_paths(layer_index).items():
+        memo = self._layer_paths
+        before = (
+            memo[1]
+            if memo is not None and memo[0] == layer_index
+            else self.layer_paths(layer_index)
+        )
+        for key, count in before.items():
             if counts[key] == count:
                 del counts[key]
             else:
                 counts[key] -= count
-        self.binding.update(binding)
+        refs = self.refs
+        old = self.binding
+        for op_uid, device in binding.items():
+            previous = old.get(op_uid)
+            if previous is not None:
+                if refs[previous] == 1:
+                    del refs[previous]
+                else:
+                    refs[previous] -= 1
+            refs[device] = refs.get(device, 0) + 1
+        old.update(binding)
         for key, count in self.layer_paths(layer_index).items():
             counts[key] = counts.get(key, 0) + count
 
     def layer_paths(self, layer_index: int) -> dict[tuple[str, str], int]:
         """The part of ``path_counts`` due to layer ``layer_index``'s
-        edges (in-layer, incoming and outgoing)."""
+        edges (in-layer, incoming and outgoing).
+
+        The answer is kept until the next call, so :meth:`bind_layer`
+        reuses the one taken while the layer's problem was prepared
+        instead of scanning the layer's edges again.
+        """
         counts: dict[tuple[str, str], int] = {}
         binding = self.binding
         for parent, child in self.layer_edges[layer_index].touching:
@@ -110,6 +245,7 @@ class PassState:
                 continue
             key = path_key(device_a, device_b)
             counts[key] = counts.get(key, 0) + 1
+        self._layer_paths = (layer_index, counts)
         return counts
 
     @property
@@ -147,12 +283,11 @@ def pass_objective(
     costs = spec.cost_model
     weights = spec.weights
     devices = state.used_devices().values()
-    schedule = state.schedule()
     return (
         weights.time * state.fixed_makespan
         + weights.area * sum(d.area(costs) for d in devices)
         + weights.processing * sum(d.processing_cost(costs) for d in devices)
-        + weights.paths * len(schedule.transportation_paths(assay.edges))
+        + weights.paths * len(state.path_counts)
     )
 
 

@@ -21,6 +21,7 @@ from ..devices.device import GeneralDevice
 from ..errors import SchedulingError
 from ..operations.operation import Operation
 from .cache import _cached_token
+from .context import FitAnswers, InventoryIndex
 from .decode import LayerSolveResult
 from .milp_model import LayerProblem
 from .schedule import LayerSchedule, OpPlacement
@@ -47,37 +48,18 @@ class _Timeline:
         insort(self.busy, (start, start + length))
 
 
-def _fit_memo(
-    device: GeneralDevice, slot: str, configs: dict[str, dict]
-) -> dict[tuple, bool]:
-    """``can_execute`` answers for ``device``'s configuration under one
-    binding mode, by requirement signature.
-
-    The memo is the frozen device's instance-dict entry ``slot`` (one per
-    binding mode), kept as :func:`repro.hls.cache._cached_token` keeps the
-    device token, so it lives as long as the device and never goes stale.
-    ``configs`` maps configuration reprs to memos already met: a device
-    without a memo adopts its configuration's, and a device with one
-    registers it.
-    """
-    config = _cached_token(device)[1]
-    memo = device.__dict__.get(slot)
-    if memo is None:
-        memo = device.__dict__[slot] = configs.setdefault(config, {})
-    else:
-        configs.setdefault(config, memo)
-    return memo
-
-
 def schedule_layer_greedy(
     problem: LayerProblem, spec: SynthesisSpec, uid_allocator
 ) -> LayerSolveResult:
     """Greedy feasible schedule for ``problem`` (see module docstring).
 
-    The work is proportional to the layer's ops and the devices that can
-    run them, not to the inherited inventory: timelines exist only for
-    devices the layer reserves, and legality is decided once per (device
-    configuration, requirement signature) pair.
+    The work is proportional to the layer's ops, the inventory's
+    configurations and the devices that can run the ops, not to the
+    inherited inventory: the fixed devices are registered one
+    configuration at a time from ``problem.inventory``, legality is
+    decided once per (configuration, requirement signature) pair and
+    kept for the run, and timelines exist only for devices the layer
+    reserves.
     """
     mode = spec.binding_mode
     by_uid = {op.uid: op for op in problem.ops}
@@ -111,64 +93,74 @@ def schedule_layer_greedy(
     # Binding legality depends only on the device's configuration and the
     # op's requirement signature (under COVER and EXACT alike), so it is
     # decided once per (configuration, signature) pair, against one
-    # representative op.  The answers are kept on the frozen devices
-    # (``_fit_memo``), so later layers and passes find them on the
-    # inherited devices, and ``configs`` hands a device the memo of a
-    # device met earlier in this layer with the same configuration.
+    # representative op.  The answers are kept in the inventory index's
+    # tables, which the pass state hands on to later layers and passes.
+    index = problem.inventory
+    if index is None:
+        index = InventoryIndex.of(problem.fixed_devices)
+    answers = index.answers.setdefault(mode, {})
     sig_of = {op.uid: op.requirement_signature() for op in problem.ops}
     sig_op: dict[tuple, Operation] = {}
     for op in problem.ops:
         sig_op.setdefault(sig_of[op.uid], op)
-    memo_slot = "_fits_" + mode.value
-    configs: dict[str, dict[tuple, bool]] = {}
-
-    def fits(device: GeneralDevice, sig: tuple, memo=None) -> bool:
-        if memo is None:
-            memo = _fit_memo(device, memo_slot, configs)
-        ok = memo.get(sig)
-        if ok is None:
-            ok = memo[sig] = device.can_execute(sig_op[sig], mode)
-        return ok
 
     # A device can only run ops of its own binding key (capacity class
     # under COVER, signature under EXACT), so it is only tested against
     # the signatures of its key.
-    key_sigs: dict[object, list[tuple]] = {}
+    key_sigs: dict[object, set[tuple]] = {}
     for sig, op in sig_op.items():
-        key_sigs.setdefault(GeneralDevice.op_binding_key(op, mode), []).append(
+        key_sigs.setdefault(GeneralDevice.op_binding_key(op, mode), set()).add(
             sig
         )
-    # Every device the layer may bind to, and per signature the devices
-    # able to run it: fixed devices first, then new ones in creation order
-    # (the order ``slots_reserved`` matches in).
-    devices: dict[str, GeneralDevice] = {}
+    # Per signature the devices able to run it: fixed devices first, in
+    # inventory order, then new ones in creation order (the order
+    # ``slots_reserved`` matches in).
     fitting: dict[tuple, list[str]] = {sig: [] for sig in sig_op}
     pending_fixed = Counter(
         sig_of[op.uid] for op in problem.ops if not op.is_indeterminate
     )
     # Signatures with pending fixed ops and no fitting device: each one
-    # until ``add_device`` registers a device for it.  Scheduling an op
-    # proves its signature covered, so only adding a device changes the
-    # count.
+    # until ``register`` adds a device for it.  Scheduling an op proves
+    # its signature covered, so only adding a device changes the count.
     uncovered = len(pending_fixed)
+    # Signatures whose fitting list takes devices of several
+    # configurations.
+    merged: set[tuple] = set()
 
-    def add_device(device: GeneralDevice) -> None:
+    def register(device: GeneralDevice, config: str, uids) -> None:
+        """Append ``uids``, devices of ``device``'s configuration, to the
+        fitting lists of the signatures they can run."""
         nonlocal uncovered
-        devices[device.uid] = device
-        sigs = key_sigs.get(device.binding_key(mode))
+        known = answers.get(config)
+        if known is None:
+            known = answers[config] = FitAnswers(device.binding_key(mode))
+        sigs = key_sigs.get(known.key)
         if not sigs:
             return
-        memo = _fit_memo(device, memo_slot, configs)
-        for sig in sigs:
-            ok = memo.get(sig)
-            if ok or (ok is None and fits(device, sig, memo)):
-                able = fitting[sig]
-                if not able and pending_fixed[sig] > 0:
-                    uncovered -= 1
-                able.append(device.uid)
+        fits = known.fits
+        # Each ``-`` costs what the left-hand set holds, not the run's
+        # answers (``difference(a, b)`` would walk all of ``b``).
+        for sig in sigs - fits - known.misses:
+            if device.can_execute(sig_op[sig], mode):
+                fits.add(sig)
+            else:
+                known.misses.add(sig)
+        for sig in fits.intersection(sigs):
+            able = fitting[sig]
+            if able:
+                merged.add(sig)
+            elif pending_fixed[sig] > 0:
+                uncovered -= 1
+            able.extend(uids)
 
-    for device in problem.fixed_devices:
-        add_device(device)
+    representative = index.representative
+    for config, uids in index.uids.items():
+        register(representative[config], config, uids)
+    # Lists that several configurations fed go back into inventory order.
+    position = index.position.__getitem__
+    for sig in merged:
+        fitting[sig].sort(key=position)
+
     ind_uids = sorted(op.uid for op in problem.ops if op.is_indeterminate)
 
     def slots_reserved(exclude_uid: str) -> int:
@@ -216,12 +208,9 @@ def schedule_layer_greedy(
         """Pressured device whose extra wait costs less than the storage
         it avoids (``C_t * delay <= pressure``), earliest-start first."""
         best_pref: tuple[int, str] | None = None
-        sig = sig_of[uid]
+        able = fitting[sig_of[uid]]
         for dev_uid, weight in sorted(pressure[uid].items()):
-            if dev_uid in exclude:
-                continue
-            device = devices.get(dev_uid)
-            if device is None or not fits(device, sig):
+            if dev_uid in exclude or dev_uid not in able:
                 continue
             start = start_on(dev_uid, ready, occupancy[uid])
             if spec.weights.time * (start - ready) > weight:
@@ -233,7 +222,7 @@ def schedule_layer_greedy(
     def create_device(op) -> str:
         nonlocal slots_left
         device = GeneralDevice.for_operation(uid_allocator(), op, mode)
-        add_device(device)
+        register(device, _cached_token(device)[1], (device.uid,))
         new_devices.append(device)
         slots_left -= 1
         return device.uid

@@ -45,6 +45,7 @@ from .spec import SynthesisSpec
 from .transport import path_key
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .context import InventoryIndex
     from .decode import LayerSolveResult
 
 #: The six legal (container kind, capacity) combinations.
@@ -120,6 +121,9 @@ class LayerProblem:
     #: storage pressure on departing cross-layer edges, keyed like
     #: ``outgoing`` entries (parent uid, child device uid).
     storage_out: dict[tuple[str, str], float] = field(default_factory=dict)
+    #: ``fixed_devices`` by configuration; the greedy scheduler derives
+    #: it from ``fixed_devices`` when ``None`` (a problem built by hand).
+    inventory: InventoryIndex | None = None
 
 
 @dataclass

@@ -104,37 +104,45 @@ def prepare_layer_problem(
     On re-synthesis passes this also *mutates* ``state``: the layer's own
     previously-born devices are dropped (unless another layer's current
     binding still references them), realizing the paper's ``D \\ D'_i``
-    inheritance.
+    inheritance.  Whether one is referenced is read from ``state.refs``
+    less the layer's own ops, not from a scan of the whole binding.
+
+    The problem carries a copy of ``state.inventory``, so the greedy
+    scheduler registers the inherited devices one configuration at a
+    time.
     """
     edges = state.layer_edges[layer.index]
-    uids = set(layer.uids)
     ops = [assay[uid] for uid in layer.uids]
     in_edges = list(edges.inner)
     edge_transport = {e: transport.edge_time(*e) for e in in_edges}
-    release = {
-        uid: transport.release_time(uid, within=uids) for uid in layer.uids
-    }
+    # Each op's release margin is its slowest in-layer outgoing transfer
+    # (``transport.release_time`` within the layer), read off the
+    # layer's own edges.
+    slowest: dict[str, int] = {}
+    for (parent, _), transfer in edge_transport.items():
+        if parent not in slowest or transfer > slowest[parent]:
+            slowest[parent] = transfer
+    release = {uid: slowest.get(uid, 0) for uid in layer.uids}
 
+    binding = state.binding
     if resynthesis:
-        layer_of = layering.layer_of
-        referenced = {
-            dev
-            for op_uid, dev in state.binding.items()
-            if layer_of[op_uid] != layer.index
-        }
+        own: dict[str, int] = {}
+        for uid in layer.uids:
+            device = binding.get(uid)
+            if device is not None:
+                own[device] = own.get(device, 0) + 1
+        refs = state.refs
         droppable = [
             uid
             for uid, born in state.born.items()
-            if born == layer.index and uid not in referenced
+            if born == layer.index and refs.get(uid, 0) == own.get(uid, 0)
         ]
         for uid in droppable:
-            del state.devices[uid]
-            del state.born[uid]
+            state.drop_device(uid)
 
     fixed_devices = list(state.devices.values())
     free_slots = max(0, spec.max_devices - len(fixed_devices))
 
-    binding = state.binding
     incoming = [(binding[p], c) for p, c in edges.incoming if p in binding]
     outgoing = [(p, binding[c]) for p, c in edges.outgoing if c in binding]
     # Paths already implied by edges not touching this layer.
@@ -177,6 +185,7 @@ def prepare_layer_problem(
         existing_paths=existing_paths,
         storage_in=storage_in,
         storage_out=storage_out,
+        inventory=state.inventory.copy(),
     )
 
 
@@ -186,8 +195,7 @@ def apply_layer_result(
     """Fold one layer's solve into the pass state."""
     state.results[layer_index] = result
     for device in result.new_devices:
-        state.devices[device.uid] = device
-        state.born[device.uid] = layer_index
+        state.add_device(device, layer_index)
     state.bind_layer(layer_index, result.binding)
 
 
@@ -466,10 +474,8 @@ class PassLoop:
 
         # Prune devices nothing references anymore (e.g. replaced during
         # re-synthesis).
-        used = set(state.binding.values())
-        for uid in [u for u in state.devices if u not in used]:
-            del state.devices[uid]
-            del state.born[uid]
+        for uid in [u for u in state.devices if u not in state.refs]:
+            state.drop_device(uid)
         self._last_timings = timings
         return state
 
@@ -478,15 +484,12 @@ class PassLoop:
     ) -> "IterationRecord":
         from .synthesizer import IterationRecord
 
-        schedule = state.schedule()
         plan = state.storage_plan = self.storage_plan.run(context, state)
         return IterationRecord(
             index=index,
             fixed_makespan=state.fixed_makespan,
             num_devices=len(state.used_devices()),
-            num_paths=len(
-                schedule.transportation_paths(context.assay.edges)
-            ),
+            num_paths=len(state.path_counts),
             storage_demand=None if plan is None else plan.demand,
             storage_cost=None if plan is None else plan.total_cost,
             layer_statuses=[

@@ -84,12 +84,19 @@ class Operation:
         as a closed "type" (exact matching); the component-oriented method
         uses cover matching instead (see
         :meth:`repro.devices.device.GeneralDevice.can_execute`).
+
+        Operations are frozen, so the tuple is computed once and kept in
+        the instance dict, as :func:`functools.cached_property` would.
         """
-        return (
-            self.container.value if self.container else None,
-            self.capacity.value,
-            tuple(sorted(self.accessories)),
-        )
+        try:
+            return self.__dict__["_requirement_signature"]
+        except KeyError:
+            signature = self.__dict__["_requirement_signature"] = (
+                self.container.value if self.container else None,
+                self.capacity.value,
+                tuple(sorted(self.accessories)),
+            )
+            return signature
 
     def covers(self, other: "Operation") -> bool:
         """True when a device built for ``self`` can also execute ``other``.

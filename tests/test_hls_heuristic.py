@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
-from repro.devices import GeneralDevice
+from repro.devices import BindingMode, GeneralDevice
 from repro.components import Capacity, ContainerKind
 from repro.errors import SchedulingError
 from repro.hls import SynthesisSpec
+from repro.hls.context import InventoryIndex
 from repro.hls.heuristic import schedule_layer_greedy
 from repro.hls.milp_model import LayerProblem
 from repro.operations import Fixed, Indeterminate, Operation
@@ -108,3 +109,64 @@ class TestGreedyScheduling:
         result = greedy(problem_for(ops, slots=1))
         assert result.binding["w"] == result.binding["cap"]
         assert result.schedule["cap"].start >= result.schedule["w"].end
+
+
+class TestInventoryIndex:
+    """Registration by configuration keeps the fixed-device order."""
+
+    @staticmethod
+    def chamber(uid, *accessories):
+        return GeneralDevice(
+            uid, ContainerKind.CHAMBER, Capacity.SMALL, frozenset(accessories)
+        )
+
+    def problem(self, inventory=None):
+        # Three plain ops keep both fixed devices busy, so the third one
+        # may take the only free slot unless the indeterminate ops need
+        # it: they need it only when ``i1`` is matched to the pump device
+        # ``i2`` requires, i.e. when "x2" is listed before "y".
+        ops = [
+            Operation(f"f{k}", Fixed(5), container=ContainerKind.CHAMBER)
+            for k in range(3)
+        ] + [
+            Operation("i1", Indeterminate(3), container=ContainerKind.CHAMBER),
+            Operation(
+                "i2", Indeterminate(3), container=ContainerKind.CHAMBER,
+                accessories=frozenset({"pump"}),
+            ),
+        ]
+        problem = problem_for(
+            ops, fixed=[self.chamber("y"), self.chamber("x2", "pump")],
+            slots=1,
+        )
+        problem.inventory = inventory
+        return problem
+
+    def test_merged_lists_follow_inventory_order(self):
+        # The pass state's index after "x1" was dropped: "x2"'s
+        # configuration was met first, but "y" comes first in the
+        # inventory.
+        index = InventoryIndex.of(
+            [self.chamber("x1", "pump"), self.chamber("y"),
+             self.chamber("x2", "pump")]
+        )
+        index.drop(self.chamber("x1", "pump"))
+        assert list(index.uids) == [
+            "('chamber', 'small', ('pump',), None)",
+            "('chamber', 'small', (), None)",
+        ]
+        indexed = greedy(self.problem(index))
+        derived = greedy(self.problem())
+        assert len(indexed.new_devices) == len(derived.new_devices) == 1
+        assert indexed.binding["f2"] == indexed.new_devices[0].uid
+        assert derived.binding["f2"] == derived.new_devices[0].uid
+
+    def test_answers_are_kept_for_the_run(self):
+        index = InventoryIndex.of([self.chamber("y")])
+        greedy(self.problem(index))
+        plain = index.answers[BindingMode.COVER][
+            "('chamber', 'small', (), None)"
+        ]
+        assert plain.key is Capacity.SMALL
+        assert plain.fits == {("chamber", "small", ())}
+        assert plain.misses == {("chamber", "small", ("pump",))}
