@@ -264,12 +264,15 @@ class SchedulerBackend(Protocol):
     ``solve`` must draw uids for the returned result's new devices (and
     nothing else) from ``allocate_uid``; ``warm_from`` is the previous
     pass's result for this layer, already rebased onto the problem's fixed
-    devices, or ``None``.  ``sessions`` is the run's solver-session pool
-    (or ``None``); backends that build the layer MIP acquire their model
-    through it so re-solves mutate a live model instead of re-encoding.
+    devices, or ``None``; the pipeline builds it only for backends whose
+    ``reads_warm_start`` is true.  ``sessions`` is the run's solver-session
+    pool (or ``None``); backends that build the layer MIP acquire their
+    model through it so re-solves mutate a live model instead of
+    re-encoding.
     """
 
     name: str
+    reads_warm_start: bool
 
     def solve(
         self,
@@ -285,6 +288,7 @@ class GreedyBackend:
     """The list-scheduling heuristic alone (always feasible, never optimal)."""
 
     name = "greedy"
+    reads_warm_start = False
 
     def solve(
         self,
@@ -315,6 +319,7 @@ class IlpBackend:
     """The layer ILP alone, no fallback race."""
 
     name = "ilp-highs"
+    reads_warm_start = False
 
     def solve(
         self,
@@ -375,6 +380,7 @@ class PortfolioBackend:
     """
 
     name = "portfolio"
+    reads_warm_start = True
 
     def solve(
         self,
@@ -506,6 +512,7 @@ class LpBoundBackend:
     """
 
     name = "lp-bound"
+    reads_warm_start = False
 
     def solve(
         self,

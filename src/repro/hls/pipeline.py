@@ -434,6 +434,11 @@ class PassLoop:
         )
         state.transport_snapshot = context.transport.snapshot()
         state.transport_estimator = context.transport.fork()
+        # Only some backends read the previous pass's layer result.
+        warm_start = (
+            previous is not None
+            and create_scheduler(spec.scheduler).reads_warm_start
+        )
 
         for layer in context.layering.layers:
             stamp = time.monotonic()
@@ -447,9 +452,7 @@ class PassLoop:
                 resynthesis=previous is not None,
             )
             warm_from = (
-                previous.results.get(layer.index)
-                if previous is not None
-                else None
+                previous.results.get(layer.index) if warm_start else None
             )
             if warm_from is not None:
                 warm_from = rebase_warm_result(

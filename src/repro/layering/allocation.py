@@ -7,11 +7,18 @@ everything still in the pool joins the layer.  The result maximizes the
 number of operations per layer while guaranteeing that every indeterminate
 operation in the layer has no child in the same layer (so it can sit at the
 very end of the sub-schedule, paper constraint (14)).
+
+The order of the paper's "randomly choose" step does not matter: a pick
+has no indeterminate ancestor in the pool, and an op without one is never
+deferred (only such an ancestor could defer it), so the picks are the
+pool's minimal indeterminate ops.  The deferred ops are then the strict
+descendants of all the pool's indeterminate ops.
 """
 
 from __future__ import annotations
 
 from ..graphs import DiGraph
+from .reach import Reach
 
 
 def dependency_based_allocation(
@@ -21,44 +28,23 @@ def dependency_based_allocation(
 ) -> set[str]:
     """Select the operations of the next layer from the pool.
 
-    Args:
-        pool_graph: dependency graph induced on the not-yet-layered
-            operations.  Read only: deferred operations are tracked in a
-            side set, and callers remove the layer's operations from the
-            pool themselves, using the returned set.
-        indeterminate: uids of indeterminate operations in the pool.
-        rng_order: deterministic pick order for the "randomly choose" step
-            of the paper; defaults to sorted order so runs are reproducible.
-
-    Returns:
-        The uids allocated to this layer.
+    ``pool_graph`` is the graph induced on the not-yet-layered operations
+    (read only), ``indeterminate`` their indeterminate uids.  Every
+    ``rng_order`` for the paper's "randomly choose" step gives the same
+    layer (module docstring).  Returns the uids of the layer.
     """
-    # Picked indeterminate ops and everything below them.  The set is
-    # closed under descendants, so no path from a dead op reaches a live
-    # one: ancestors of a live op are live, and a descendant search may
-    # stop at dead ops.
-    dead: set[str] = set()
-    remaining_ind = {uid for uid in indeterminate if uid in pool_graph}
-    selected_ind: list[str] = []
+    reach = Reach.of(pool_graph)
+    pool = reach.mask(reach.uids)
+    return set(reach.members(allocate(reach, pool, reach.mask(indeterminate))))
 
-    order = rng_order or sorted(remaining_ind)
-    queue = [uid for uid in order if uid in remaining_ind]
 
-    while remaining_ind:
-        chosen = None
-        for uid in queue:
-            if uid not in remaining_ind:
-                continue
-            if not (pool_graph.ancestors(uid) & remaining_ind):
-                chosen = uid
-                break
-        if chosen is None:
-            # Cannot happen on a DAG: some indeterminate op is minimal.
-            chosen = next(iter(sorted(remaining_ind)))
-        selected_ind.append(chosen)
-        # ``chosen`` stays in the layer; its descendants leave it.
-        removed = pool_graph.descendants(chosen, skip=dead) | {chosen}
-        remaining_ind -= removed
-        dead |= removed
+def allocate(reach: Reach, pool: int, indeterminate: int) -> int:
+    """:func:`dependency_based_allocation` on masks; returns the layer.
 
-    return {uid for uid in pool_graph if uid not in dead} | set(selected_ind)
+    ``pool`` must be closed under descendants, as the not-yet-layered ops
+    are, so that the descendants of its indeterminate ops lie in it.
+    """
+    deferred = 0
+    for uid in reach.members(indeterminate & pool):
+        deferred |= reach.desc[uid]
+    return pool & ~deferred

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 from ..errors import LayeringError
 from ..operations.assay import Assay
-from .allocation import dependency_based_allocation
-from .eviction import resource_based_allocation
+from .allocation import allocate
+from .eviction import evict
+from .reach import Reach
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,13 @@ class LayeringResult:
                     f"layer {layer.index} exceeds indeterminate threshold "
                     f"({len(layer.indeterminate_uids)} > {self.threshold})"
                 )
+            members = set(layer.uids)
             for uid in layer.indeterminate_uids:
-                same_layer_children = (
-                    set(self.assay.children(uid)) & set(layer.uids)
-                )
-                if same_layer_children:
+                children = members.intersection(self.assay.children(uid))
+                if children:
                     raise LayeringError(
                         f"indeterminate {uid} has same-layer children "
-                        f"{sorted(same_layer_children)}"
+                        f"{sorted(children)}"
                     )
 
 
@@ -128,30 +128,23 @@ def layer_assay(assay: Assay, threshold: int = 10) -> LayeringResult:
         raise LayeringError(f"threshold must be >= 1, got {threshold}")
     assay.validate()
 
-    full_graph = assay.graph
-    # The not-yet-layered operations; each layer's ops leave it.
-    pool_graph = full_graph.copy()
-    pool_ind = set(assay.indeterminate_uids)
-    rank = {uid: i for i, uid in enumerate(assay.topological_order())}
+    reach = Reach(assay.topological_order(), assay.edges)
+    # The not-yet-layered operations and their indeterminate ones; each
+    # layer's ops leave them.  Layers take ancestor-closed slices of the
+    # pool, so the pool stays closed under descendants.
+    pool = reach.mask(reach.uids)
+    pool_ind = reach.mask(assay.indeterminate_uids)
     layers: list[Layer] = []
 
-    while len(pool_graph):
-        selected = dependency_based_allocation(pool_graph, pool_ind)
-        kept, _evicted = resource_based_allocation(
-            selected, full_graph, pool_ind, threshold
-        )
+    while pool:
+        selected = allocate(reach, pool, pool_ind)
+        kept = evict(reach, selected, pool_ind, threshold)
         if not kept:
             raise LayeringError("layering made no progress")  # pragma: no cover
-        order = sorted(kept, key=rank.__getitem__)
-        layer = Layer(
-            index=len(layers),
-            uids=tuple(order),
-            indeterminate_uids=tuple(uid for uid in order if uid in pool_ind),
-        )
-        layers.append(layer)
-        for uid in kept:
-            pool_graph.remove_node(uid)
-        pool_ind -= kept
+        ind = tuple(reach.members(kept & pool_ind))
+        layers.append(Layer(len(layers), tuple(reach.members(kept)), ind))
+        pool &= ~kept
+        pool_ind &= ~kept
 
     result = LayeringResult(assay=assay, layers=layers, threshold=threshold)
     result.validate()

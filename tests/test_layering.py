@@ -1,5 +1,10 @@
 """Tests for repro.layering (Algorithm 1): allocation, eviction, driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +18,13 @@ from repro.layering import (
     resource_based_allocation,
 )
 from repro.operations import Assay, AssayBuilder, Fixed, Indeterminate, Operation
+
+from .layering_oracle import dependency_based_allocation as reference_allocation
+from .layering_oracle import eviction_cost as reference_cost
+from .layering_oracle import reference_layers
+from .layering_oracle import resource_based_allocation as reference_eviction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fig4_assay():
@@ -66,6 +78,19 @@ class TestDependencyAllocation:
             assay.graph, set(assay.indeterminate_uids)
         )
         assert layer == {"i1", "i2"}
+
+    def test_partial_pick_order_keeps_children_out(self):
+        # z -> a, both indeterminate, plus an isolated q.  An order that
+        # names only a must not put z and its child a into one layer.
+        b = AssayBuilder("partial")
+        z = b.op("z", 1, indeterminate=True)
+        b.op("a", 1, indeterminate=True, after=[z])
+        b.op("q", 1)
+        assay = b.build()
+        layer = dependency_based_allocation(
+            assay.graph, set(assay.indeterminate_uids), rng_order=["a"]
+        )
+        assert layer == {"q", "z"}
 
     def test_descendant_of_indeterminate_deferred(self):
         b = AssayBuilder("d")
@@ -259,3 +284,102 @@ def test_layering_invariants_random(seed, num_ops, ind_frac, threshold):
     # Every op appears exactly once.
     seen = [uid for layer in result.layers for uid in layer.uids]
     assert sorted(seen) == sorted(assay.uids)
+
+
+def _layers(result):
+    return [(layer.uids, layer.indeterminate_uids) for layer in result.layers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_ops=st.integers(1, 120),
+    edge_probability=st.floats(0.02, 0.4),
+    ind_frac=st.floats(0.1, 0.4),
+    threshold=st.integers(1, 5),
+)
+def test_layering_matches_set_based_reference(
+    seed, num_ops, edge_probability, ind_frac, threshold
+):
+    """The mask-based layering equals the graph-search algorithm it
+    replaced, layer by layer and in the same op order."""
+    assay = random_assay(
+        num_ops, seed=seed, edge_probability=edge_probability,
+        indeterminate_fraction=ind_frac,
+    )
+    result = layer_assay(assay, threshold=threshold)
+    assert _layers(result) == reference_layers(assay, threshold)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_ops=st.integers(1, 40),
+    ind_frac=st.floats(0.1, 0.6),
+    data=st.data(),
+)
+def test_allocation_does_not_depend_on_pick_order(
+    seed, num_ops, ind_frac, data
+):
+    """Every order of the paper's "randomly choose" step allocates the
+    layer the reference allocates with its default (uid) order."""
+    assay = random_assay(num_ops, seed=seed, indeterminate_fraction=ind_frac)
+    indeterminate = set(assay.indeterminate_uids)
+    order = data.draw(st.permutations(sorted(indeterminate)))
+    layer = dependency_based_allocation(assay.graph, indeterminate, order)
+    assert layer == reference_allocation(assay.graph, indeterminate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_ops=st.integers(2, 40),
+    edge_probability=st.floats(0.05, 0.4),
+    threshold=st.integers(1, 4),
+    data=st.data(),
+)
+def test_public_eviction_matches_reference_on_any_layer(
+    seed, num_ops, edge_probability, threshold, data
+):
+    """Layers handed to the public functions need not be ancestor-closed
+    (inside ``layer_assay`` they always are); prices and evictions still
+    match the graph-search versions."""
+    assay = random_assay(
+        num_ops, seed=seed, edge_probability=edge_probability,
+        indeterminate_fraction=0.4,
+    )
+    graph = assay.graph
+    indeterminate = set(assay.indeterminate_uids)
+    layer = data.draw(st.sets(st.sampled_from(assay.uids), min_size=1))
+    assert resource_based_allocation(
+        layer, graph, indeterminate, threshold
+    ) == reference_eviction(layer, graph, indeterminate, threshold)
+    for uid in sorted(layer & indeterminate):
+        cost = eviction_cost(layer, graph, uid)
+        reference = reference_cost(layer, graph, uid)
+        assert cost.sort_key == reference.sort_key
+        assert cost.removed == reference.removed
+
+
+def test_layering_does_not_depend_on_hash_seed():
+    script = (
+        "from repro.assays import random_assay\n"
+        "from repro.layering import layer_assay\n"
+        "assay = random_assay(280, seed=280, edge_probability=3 / 280,\n"
+        "                     indeterminate_fraction=0.1)\n"
+        "for layer in layer_assay(assay, threshold=3).layers:\n"
+        "    print(layer.uids, layer.indeterminate_uids)\n"
+    )
+    outputs = set()
+    for hash_seed in "01":
+        env = dict(
+            os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count("\n") > 1
