@@ -494,15 +494,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .service import FleetClient, HedgePolicy, ServiceClient
+    from .service import HedgePolicy, ServiceClient
 
-    if "," in args.server:
-        hedge = None
-        if args.hedge_after is not None:
-            hedge = HedgePolicy(delay=args.hedge_after)
-        client = FleetClient.from_addresses(args.server, hedge=hedge)
-    else:
-        client = ServiceClient.from_address(args.server)
+    hedge = None
+    if args.hedge_after is not None:
+        hedge = HedgePolicy(delay=args.hedge_after)
+    client = ServiceClient.from_address(args.server, hedge=hedge)
     assay = _resolve_assay(args)
     spec = _spec_from_args(args)
     method = "conventional" if args.conventional else "hls"
@@ -842,7 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--server", default="127.0.0.1:8642",
                        metavar="HOST:PORT[,HOST:PORT...]",
                        help="one server, or a comma-separated fleet "
-                            "(submissions are hedged across replicas)")
+                            "(one client; submissions hedged from two "
+                            "replicas up, a job's calls pinned to its "
+                            "replica)")
     p_sub.add_argument("--hedge-after", type=float, default=None,
                        metavar="SECONDS",
                        help="with a fleet --server list: fire a duplicate "

@@ -17,8 +17,9 @@ Fault tolerance (this layer's robustness contract):
   or truncated entries are quarantined and re-solved, never crash a
   read.
 * :mod:`~repro.service.client` — bounded retries with full-jitter
-  backoff, a per-client circuit breaker, and fingerprint-idempotent
-  resubmission across server restarts.
+  backoff, a circuit breaker per replica, fingerprint-idempotent
+  resubmission across server restarts, and hedged submissions from two
+  replicas up.
 * graceful degradation — an ILP job that exceeds its wall-clock budget
   is re-run once on the greedy scheduler and returned flagged
   ``degraded`` (opt out per submission with ``degrade: false``).
@@ -55,7 +56,6 @@ from .chaos import (
 )
 from .client import (
     CircuitBreaker,
-    FleetClient,
     HedgePolicy,
     JobHandle,
     RetryPolicy,
@@ -82,7 +82,6 @@ __all__ = [
     "FileLock",
     "FleetChaosConfig",
     "FleetChaosReport",
-    "FleetClient",
     "FleetCoordinator",
     "HedgePolicy",
     "InflightTable",

@@ -41,16 +41,18 @@ budget — and it therefore carries its own baseline.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import random
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from ..errors import ServiceError
-from .client import RetryPolicy, ServiceClient
+from .client import JobHandle, RetryPolicy, ServiceClient
 from .server import ServerConfig, SynthesisServer
 from .worker import run_job
 
@@ -133,25 +135,7 @@ class ChaosReport:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "workdir": self.workdir,
-            "submitted": self.submitted,
-            "verified": self.verified,
-            "lost": self.lost,
-            "mismatched": self.mismatched,
-            "degraded_observed": self.degraded_observed,
-            "degraded_expected": self.degraded_expected,
-            "worker_crashes": self.worker_crashes,
-            "worker_crashes_expected": self.worker_crashes_expected,
-            "replayed": self.replayed,
-            "replayed_expected": self.replayed_expected,
-            "corruptions": self.corruptions,
-            "corruptions_injected": self.corruptions_injected,
-            "quarantined": self.quarantined,
-            "torn_records": self.torn_records,
-            "notes": self.notes,
-        }
+        return {"ok": self.ok, **dataclasses.asdict(self)}
 
 
 def format_chaos(report: ChaosReport) -> str:
@@ -252,6 +236,120 @@ def _body_key(body: dict) -> str:
 
 def _result_bytes(payload: dict) -> str:
     return json.dumps(payload["result"], sort_keys=True)
+
+
+# -- shared campaign steps -----------------------------------------------
+
+
+def _request_bodies(config: "ChaosConfig | FleetChaosConfig") -> list[dict]:
+    """The campaign's base bodies: its explicit ``requests``, or one
+    request per paper case."""
+    if config.requests is not None:
+        bodies = [dict(body) for body in config.requests]
+    else:
+        bodies = [_case_body(case, config.time_limit) for case in config.cases]
+    if not bodies:
+        raise ServiceError("chaos campaign needs at least one request",
+                           status=400, kind="bad-request")
+    return bodies
+
+
+def _baseline(families: list[list[dict]]) -> dict[str, str]:
+    """Fault-free ground truth: one in-process solve of each family's
+    first body, keyed for every body of the family (the variants of a
+    family provably share its result; see the module docstring)."""
+    baseline: dict[str, str] = {}
+    for family in families:
+        outcome = run_job({
+            "assay": family[0]["assay"], "spec": family[0].get("spec"),
+            "method": "hls", "deterministic": True,
+        })
+        if not outcome or outcome[0] != "ok":
+            raise ServiceError(
+                f"baseline solve failed: {outcome!r}", status=500
+            )
+        for body in family:
+            baseline[_body_key(body)] = _result_bytes(outcome[1])
+    return baseline
+
+
+def _client(port: int, seed: int) -> ServiceClient:
+    """The campaign's client for one server, with a seeded backoff."""
+    return ServiceClient(
+        port=port, timeout=60.0, retry=RetryPolicy(seed=seed)
+    )
+
+
+def _wait(
+    client: ServiceClient,
+    job_id: str,
+    label: str,
+    report: "ChaosReport | FleetChaosReport",
+    deadline: float,
+    done_only: bool = False,
+) -> JobHandle | None:
+    """Wait out one job.  A never-terminal job (or, with ``done_only``,
+    one that ended other than done) is counted lost and noted, not
+    raised: the campaign must always reach its verdict."""
+    try:
+        done = client.wait(job_id, deadline=deadline)
+    except ServiceError as exc:
+        report.lost += 1
+        report.notes.append(f"{label} job {job_id} never finished: {exc}")
+        return None
+    if done_only and done.status != "done":
+        report.lost += 1
+        report.notes.append(
+            f"{label} job {done.id} ended {done.status!r}: {done.error!r}"
+        )
+        return None
+    return done
+
+
+def _fetch(
+    client: ServiceClient,
+    body: dict,
+    label: str,
+    report: "ChaosReport | FleetChaosReport",
+    deadline: float,
+) -> dict | None:
+    """Submit ``body`` and wait it out: its result payload, or ``None``
+    once the job is counted lost."""
+    try:
+        handle = client.submit(body["assay"], body.get("spec"))
+    except ServiceError as exc:
+        report.lost += 1
+        report.notes.append(f"{label} submit failed: {exc}")
+        return None
+    done = _wait(client, handle.id, label, report, deadline, done_only=True)
+    return None if done is None else client.result(done.id)
+
+
+def _verify(
+    client: ServiceClient,
+    bodies: list[dict],
+    baseline: dict[str, str],
+    report: "ChaosReport | FleetChaosReport",
+    deadline: float,
+) -> int:
+    """Resubmit every expected body and byte-compare its result with the
+    fault-free baseline.  Returns the degraded results: they are flagged,
+    never byte-compared, and left to the caller to count."""
+    report.submitted = len(bodies)
+    degraded = 0
+    for body in bodies:
+        payload = _fetch(client, body, "verification", report, deadline)
+        if payload is None:
+            continue
+        key = _body_key(body)
+        if payload.get("degraded"):
+            degraded += 1
+        elif _result_bytes(payload) == baseline[key]:
+            report.verified += 1
+        else:
+            report.mismatched += 1
+            report.notes.append(f"result mismatch for {key[:48]}…")
+    return degraded
 
 
 # -- in-process server harness -------------------------------------------
@@ -384,45 +482,18 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
     rng = random.Random(config.seed)
     report = ChaosReport()
 
-    if config.requests is not None:
-        bodies_base = [dict(body) for body in config.requests]
-    else:
-        bodies_base = [
-            _case_body(case, config.time_limit) for case in config.cases
-        ]
-    if not bodies_base:
-        raise ServiceError("chaos campaign needs at least one request",
-                           status=400, kind="bad-request")
-
+    bodies_base = _request_bodies(config)
     extra = _variant(bodies_base[0], _VARIANT_EXTRA)
     degraded_body = _slow_body(bodies_base[0])
     wave1 = bodies_base + [extra]
     wave2 = [_variant(body, _VARIANT_WAVE2) for body in bodies_base]
 
-    def _baseline_solve(body: dict) -> str:
-        outcome = run_job({
-            "assay": body["assay"], "spec": body.get("spec"),
-            "method": "hls", "deterministic": True,
-        })
-        if not outcome or outcome[0] != "ok":
-            raise ServiceError(
-                f"baseline solve failed: {outcome!r}", status=500
-            )
-        return _result_bytes(outcome[1])
-
-    # Fault-free ground truth: one in-process solve per solve class
-    # (improvement-threshold variants share their base body's result by
-    # construction; the slow-solve body shifts the layering threshold
-    # and so carries its own truth).
-    baseline: dict[str, str] = {}
-    for index, body in enumerate(bodies_base):
-        truth = _baseline_solve(body)
-        variants = [body, wave2[index]]
-        if index == 0:
-            variants.append(extra)
-        for variant in variants:
-            baseline[_body_key(variant)] = truth
-    baseline[_body_key(degraded_body)] = _baseline_solve(degraded_body)
+    # One solve class per base body (improvement-threshold variants
+    # share its result); the slow-solve body lowers ``max_devices`` and
+    # so carries its own truth.
+    families = [[body, wave2[i]] for i, body in enumerate(bodies_base)]
+    families[0].append(extra)
+    baseline = _baseline(families + [[degraded_body]])
 
     workdir = Path(tempfile.mkdtemp(
         prefix="repro-chaos-", dir=config.workdir
@@ -438,23 +509,10 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         allow_debug=True,
     )
 
-    def _wait(client: ServiceClient, job_id: str, label: str):
-        """Wait out one job; a lost (never-terminal) job is recorded,
-        not raised — the campaign must always reach its verdict."""
-        try:
-            return client.wait(job_id, deadline=config.deadline)
-        except ServiceError as exc:
-            report.lost += 1
-            report.notes.append(f"{label} job {job_id} never finished: {exc}")
-            return None
-
     # ---- phase A: live traffic -----------------------------------------
     harness_a = _ServerHarness(server_config)
     harness_a.start()
-    client_a = ServiceClient(
-        port=harness_a.port, timeout=60.0,
-        retry=RetryPolicy(seed=config.seed),
-    )
+    client_a = _client(harness_a.port, config.seed)
 
     fingerprints: dict[str, str] = {}
     submissions = list(wave1) + [
@@ -466,7 +524,7 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         fingerprints[_body_key(body)] = handle.fingerprint
         handles.append(handle)
     for handle in handles:
-        done = _wait(client_a, handle.id, "wave-1")
+        done = _wait(client_a, handle.id, "wave-1", report, config.deadline)
         if done is not None and done.status != "done":
             report.notes.append(
                 f"wave-1 job {done.id} ended {done.status!r}: {done.error!r}"
@@ -478,7 +536,9 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
     if config.kill_worker:
         report.worker_crashes_expected = 1
         crash = client_a.submit({"format": 1}, method="debug-crash")
-        crash = _wait(client_a, crash.id, "worker-kill")
+        crash = _wait(
+            client_a, crash.id, "worker-kill", report, config.deadline
+        )
         if crash is None:
             pass
         elif crash.status == "failed" and (
@@ -500,7 +560,9 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
             timeout=config.slow_timeout,
         )
         fingerprints[_body_key(degraded_body)] = handle.fingerprint
-        done = _wait(client_a, handle.id, "slow-solve")
+        done = _wait(
+            client_a, handle.id, "slow-solve", report, config.deadline
+        )
         if done is None:
             pass
         elif done.status == "done":
@@ -554,42 +616,12 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
     # ---- phase D: restart, replay, verify ------------------------------
     harness_b = _ServerHarness(server_config)
     harness_b.start()
-    client_b = ServiceClient(
-        port=harness_b.port, timeout=60.0,
-        retry=RetryPolicy(seed=config.seed + 1),
-    )
+    client_b = _client(harness_b.port, config.seed + 1)
 
     expected = list(wave1) + [degraded_body] + wave2
-    report.submitted = len(expected)
-    for body in expected:
-        key = _body_key(body)
-        try:
-            handle = client_b.submit(body["assay"], body.get("spec"))
-        except ServiceError as exc:
-            report.lost += 1
-            report.notes.append(f"verification submit failed: {exc}")
-            continue
-        done = _wait(client_b, handle.id, "verification")
-        if done is None:
-            continue
-        if done.status != "done":
-            report.lost += 1
-            report.notes.append(
-                f"verification job for {key[:48]}… ended "
-                f"{done.status!r}: {done.error!r}"
-            )
-            continue
-        payload = client_b.result(done.id)
-        if payload.get("degraded"):
-            # Degraded results are flagged, never byte-compared.
-            report.degraded_observed += 1
-            report.verified += 1
-            continue
-        if _result_bytes(payload) == baseline[key]:
-            report.verified += 1
-        else:
-            report.mismatched += 1
-            report.notes.append(f"result mismatch for {key[:48]}…")
+    degraded = _verify(client_b, expected, baseline, report, config.deadline)
+    report.degraded_observed += degraded
+    report.verified += degraded
 
     metrics = client_b.metrics()
     counters = metrics.get("counters", {})
@@ -696,30 +728,7 @@ class FleetChaosReport:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "workdir": self.workdir,
-            "replicas": self.replicas,
-            "submitted": self.submitted,
-            "verified": self.verified,
-            "lost": self.lost,
-            "mismatched": self.mismatched,
-            "coalesce_solves": self.coalesce_solves,
-            "peer_served": self.peer_served,
-            "takeovers": self.takeovers,
-            "fenced_writes": self.fenced_writes,
-            "fenced_expected": self.fenced_expected,
-            "replayed": self.replayed,
-            "replayed_expected": self.replayed_expected,
-            "torn_records": self.torn_records,
-            "corruptions": self.corruptions,
-            "quarantined": self.quarantined,
-            "compaction_runs": self.compaction_runs,
-            "journal_bytes": self.journal_bytes,
-            "journal_bytes_bound": self.journal_bytes_bound,
-            "epoch_final": self.epoch_final,
-            "notes": self.notes,
-        }
+        return {"ok": self.ok, **dataclasses.asdict(self)}
 
 
 def format_fleet_chaos(report: FleetChaosReport) -> str:
@@ -750,13 +759,11 @@ def format_fleet_chaos(report: FleetChaosReport) -> str:
 
 def _poll(predicate, timeout: float, interval: float = 0.05) -> bool:
     """Spin until ``predicate()`` or ``timeout`` seconds elapse."""
-    import time as _time
-
-    end = _time.monotonic() + timeout
-    while _time.monotonic() < end:
+    end = time.monotonic() + timeout
+    while time.monotonic() < end:
         if predicate():
             return True
-        _time.sleep(interval)
+        time.sleep(interval)
     return bool(predicate())
 
 
@@ -779,43 +786,14 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
         journal_bytes_bound=config.journal_bytes_bound
     )
 
-    if config.requests is not None:
-        bodies_base = [dict(body) for body in config.requests]
-    else:
-        bodies_base = [
-            _case_body(case, config.time_limit) for case in config.cases
-        ]
-    if not bodies_base:
-        raise ServiceError("fleet chaos needs at least one request",
-                           status=400, kind="bad-request")
-
+    bodies_base = _request_bodies(config)
     coalesce_body = _variant(bodies_base[0], _VARIANT_COALESCE)
     wave2 = [_variant(body, _VARIANT_FLEET_WAVE2) for body in bodies_base]
     partition_body = _variant(bodies_base[0], _VARIANT_PARTITION)
 
-    def _baseline_solve(body: dict) -> str:
-        outcome = run_job({
-            "assay": body["assay"], "spec": body.get("spec"),
-            "method": "hls", "deterministic": True,
-        })
-        if not outcome or outcome[0] != "ok":
-            raise ServiceError(
-                f"baseline solve failed: {outcome!r}", status=500
-            )
-        return _result_bytes(outcome[1])
-
-    # One fault-free single-process baseline per solve class: the
-    # improvement-threshold variants provably share their base body's
-    # result (max_iterations=0), so each base solve verifies its whole
-    # variant family byte-for-byte.
-    baseline: dict[str, str] = {}
-    for index, body in enumerate(bodies_base):
-        truth = _baseline_solve(body)
-        variants = [body, wave2[index]]
-        if index == 0:
-            variants.extend([coalesce_body, partition_body])
-        for variant in variants:
-            baseline[_body_key(variant)] = truth
+    families = [[body, wave2[i]] for i, body in enumerate(bodies_base)]
+    families[0] += [coalesce_body, partition_body]
+    baseline = _baseline(families)
 
     workdir = Path(tempfile.mkdtemp(
         prefix="repro-fleet-chaos-", dir=config.workdir
@@ -841,30 +819,6 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
             compact_min_age=3600.0,
         )
 
-    def _client(harness: _ServerHarness, salt: int) -> ServiceClient:
-        return ServiceClient(
-            port=harness.port, timeout=60.0,
-            retry=RetryPolicy(seed=config.seed + salt),
-        )
-
-    def _wait(client: ServiceClient, job_id: str, label: str):
-        try:
-            done = client.wait(job_id, deadline=config.deadline)
-        except ServiceError as exc:
-            report.lost += 1
-            report.notes.append(
-                f"{label} job {job_id} never finished: {exc}"
-            )
-            return None
-        if done.status != "done":
-            report.lost += 1
-            report.notes.append(
-                f"{label} job {done.id} ended {done.status!r}: "
-                f"{done.error!r}"
-            )
-            return None
-        return done
-
     def _solve_count(client: ServiceClient) -> int:
         counters = client.metrics().get("counters", {})
         return int(counters.get("solve_jobs", 0))
@@ -872,16 +826,15 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
     # ---- phase 1: two replicas over one store --------------------------
     harness_1 = _ServerHarness(_replica_config("r1"))
     harness_1.start()
-    client_1 = _client(harness_1, 0)
+    client_1 = _client(harness_1.port, config.seed)
     if not _poll(lambda: harness_1.server.fleet.lease.held, 10.0):
         report.notes.append("replica r1 never acquired the lease")
     harness_2 = _ServerHarness(_replica_config("r2"))
     harness_2.start()
-    client_2 = _client(harness_2, 1)
+    client_2 = _client(harness_2.port, config.seed + 1)
 
     for body in bodies_base:
-        handle = client_1.submit(body["assay"], body.get("spec"))
-        _wait(client_1, handle.id, "wave-1")
+        _fetch(client_1, body, "wave-1", report, config.deadline)
 
     # ---- phase 2: cross-replica coalescing -----------------------------
     solves_before = _solve_count(client_1) + _solve_count(client_2)
@@ -894,8 +847,10 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
     handle_b = client_2.submit(
         coalesce_body["assay"], coalesce_body.get("spec")
     )
-    done_a = _wait(client_1, handle_a.id, "coalesce-r1")
-    done_b = _wait(client_2, handle_b.id, "coalesce-r2")
+    done_a = _wait(client_1, handle_a.id, "coalesce-r1", report,
+                   config.deadline, done_only=True)
+    done_b = _wait(client_2, handle_b.id, "coalesce-r2", report,
+                   config.deadline, done_only=True)
     if done_b is not None and done_b.source in ("peer", "store"):
         report.peer_served += 1
     report.coalesce_solves = (
@@ -929,12 +884,10 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
     # Resubmit the in-flight wave to the survivor: the dead replica's
     # claims must go stale and be reclaimed, never waited on forever.
     for body in wave2:
-        handle = client_2.submit(body["assay"], body.get("spec"))
-        done = _wait(client_2, handle.id, "takeover")
-        if done is None:
-            continue
-        payload = client_2.result(done.id)
-        if _result_bytes(payload) != baseline[_body_key(body)]:
+        payload = _fetch(client_2, body, "takeover", report, config.deadline)
+        if payload is not None and (
+            _result_bytes(payload) != baseline[_body_key(body)]
+        ):
             report.mismatched += 1
             report.notes.append("takeover result mismatch")
 
@@ -945,7 +898,7 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
 
     harness_1b = _ServerHarness(_replica_config("r1"))
     harness_1b.start()
-    client_1b = _client(harness_1b, 2)
+    client_1b = _client(harness_1b.port, config.seed + 2)
     replay_counters = client_1b.metrics().get("counters", {})
     report.replayed = int(replay_counters.get("journal_replayed", 0))
     # Replayed jobs resolve from the shared store (r2 already finished
@@ -982,15 +935,14 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
             )
         # The fenced replica must still answer fresh work — from its
         # process-local overflow, without writing shared files.
-        handle = client_2.submit(
-            partition_body["assay"], partition_body.get("spec")
+        payload = _fetch(
+            client_2, partition_body, "fenced", report, config.deadline
         )
-        done = _wait(client_2, handle.id, "fenced")
-        if done is not None:
-            payload = client_2.result(done.id)
-            if _result_bytes(payload) != baseline[_body_key(partition_body)]:
-                report.mismatched += 1
-                report.notes.append("fenced-replica result mismatch")
+        if payload is not None and (
+            _result_bytes(payload) != baseline[_body_key(partition_body)]
+        ):
+            report.mismatched += 1
+            report.notes.append("fenced-replica result mismatch")
         store_block = client_2.metrics().get("store", {})
         report.fenced_writes = int(store_block.get("rejected_writes", 0))
         report.epoch_final = survivor.fleet.lease.epoch
@@ -1001,25 +953,11 @@ def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
     expected = list(bodies_base) + [coalesce_body] + list(wave2)
     if config.partition:
         expected.append(partition_body)
-    report.submitted = len(expected)
     verify_client = client_1b if config.partition else client_2
-    for body in expected:
-        key = _body_key(body)
-        try:
-            handle = verify_client.submit(body["assay"], body.get("spec"))
-        except ServiceError as exc:
-            report.lost += 1
-            report.notes.append(f"verification submit failed: {exc}")
-            continue
-        done = _wait(verify_client, handle.id, "verification")
-        if done is None:
-            continue
-        payload = verify_client.result(done.id)
-        if _result_bytes(payload) == baseline[key]:
-            report.verified += 1
-        else:
-            report.mismatched += 1
-            report.notes.append(f"result mismatch for {key[:48]}…")
+    # Fleet jobs carry no wall-clock budget: a degraded answer is a fault.
+    report.mismatched += _verify(
+        verify_client, expected, baseline, report, config.deadline
+    )
 
     # Compaction quiesce: with ``compact_min_bytes=1`` any rotation arms
     # the compactor, so wait until every closed segment has been drained

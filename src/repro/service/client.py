@@ -5,19 +5,22 @@ Stdlib-only (``http.client``).  Every method raises
 error (kind + message + HTTP status) on any non-2xx response, so callers
 never parse error bodies themselves.
 
-Resilience (all per-client, all tunable):
+One :class:`ServiceClient` talks to one or more replicas of the service;
+a plain client (``ServiceClient(host, port)``) is its own single
+replica.  Resilience (all per-client, all tunable):
 
 * **Bounded retries** — connection errors and 5xx responses are retried
   up to :attr:`RetryPolicy.retries` times with exponential backoff and
   *full jitter* (each sleep is uniform in ``[0, base * 2**attempt]``,
   capped at :attr:`RetryPolicy.max_delay`).  4xx responses are never
   retried: the request itself is wrong, repeating it cannot help.
-* **Circuit breaker** — after :attr:`CircuitBreaker.threshold`
-  consecutive transport failures the breaker *opens* and requests fail
-  fast locally (:class:`~repro.errors.CircuitOpenError`, no network
-  traffic) until :attr:`CircuitBreaker.cooldown` elapses; the first
-  request after the cooldown is a *half-open* probe — success closes the
-  breaker, failure re-opens it for another cooldown.
+* **Circuit breaker** — one per replica: after
+  :attr:`CircuitBreaker.threshold` consecutive transport failures the
+  breaker *opens* and requests fail fast locally
+  (:class:`~repro.errors.CircuitOpenError`, no network traffic) until
+  :attr:`CircuitBreaker.cooldown` elapses; the first request after the
+  cooldown is a *half-open* probe — success closes the breaker, failure
+  re-opens it for another cooldown.
 * **Idempotent resubmission** — ``POST /jobs`` is safe to retry because
   the server coalesces submissions on the canonical run fingerprint and
   answers repeats from the result store; :meth:`ServiceClient.synthesize`
@@ -25,6 +28,13 @@ Resilience (all per-client, all tunable):
   a job id mid-wait (the replayed job has a fresh id but the same
   fingerprint, so the resubmission re-attaches to it — or to its stored
   result).
+* **Fleets** — from two replicas up (``from_address("h:p,h:p")``) a
+  submission is *hedged*: a duplicate goes to the next replica after the
+  :class:`HedgePolicy` delay (or at once when the primary fails), the
+  first answer wins and the loser's socket is closed.  Job ids are
+  replica-local, so every later call on a job goes to the replica that
+  issued it (the pin table).  With one replica a request runs inline on
+  the caller's thread: no thread is started and no pin is stored.
 * **No connection leaks** — each attempt uses one ``HTTPConnection``
   closed in a ``finally`` on every path (success, HTTP error, transport
   error, JSON error).
@@ -32,8 +42,10 @@ Resilience (all per-client, all tunable):
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import math
 import random
 import threading
 import time
@@ -79,7 +91,7 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Per-client circuit breaker over consecutive transport failures.
+    """Per-replica circuit breaker over consecutive transport failures.
 
     ``clock`` is injectable for tests (defaults to ``time.monotonic``).
     """
@@ -137,6 +149,70 @@ class CircuitBreaker:
             self._opened_at = self._clock()
 
 
+class HedgePolicy:
+    """When to fire a duplicate request at a second replica.
+
+    The hedge delay adapts to observed latency: once ``min_samples``
+    request durations have been recorded, the delay is the configured
+    ``percentile`` of the recent sample window; before that (or with a
+    fixed ``delay``) the static value applies.  ``clock`` is injectable
+    so tests control both the measured latencies and the firing time.
+    """
+
+    def __init__(
+        self,
+        delay: float | None = None,
+        percentile: float = 0.95,
+        min_samples: int = 8,
+        initial_delay: float = 1.0,
+        max_samples: int = 128,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        if delay is not None and delay < 0:
+            raise ServiceError("hedge delay must be >= 0", status=400)
+        if not 0.0 < percentile <= 1.0:
+            raise ServiceError(
+                "hedge percentile must be in (0, 1]", status=400
+            )
+        if min_samples < 1 or max_samples < min_samples:
+            raise ServiceError("bad hedge sample bounds", status=400)
+        #: fixed hedge delay, seconds; ``None`` adapts to the percentile.
+        self.delay = delay
+        self.percentile = percentile
+        self.min_samples = min_samples
+        #: delay used until enough samples accumulate.
+        self.initial_delay = initial_delay
+        self.clock = clock
+        self._samples: deque[float] = deque(maxlen=max_samples)
+        #: hedges actually fired.
+        self.fired = 0
+        #: hedges whose duplicate finished first.
+        self.won = 0
+
+    def observe(self, seconds: float) -> None:
+        """Record one completed request's duration."""
+        self._samples.append(seconds)
+
+    def current_delay(self) -> float:
+        """Seconds to wait before hedging the in-flight request."""
+        if self.delay is not None:
+            return self.delay
+        if len(self._samples) < self.min_samples:
+            return self.initial_delay
+        # Nearest rank: the smallest sample at least ``percentile`` of
+        # the window reaches.
+        ordered = sorted(self._samples)
+        return ordered[math.ceil(self.percentile * len(ordered)) - 1]
+
+    def counters(self) -> dict[str, Any]:
+        return {
+            "fired": self.fired,
+            "won": self.won,
+            "samples": len(self._samples),
+            "current_delay": self.current_delay(),
+        }
+
+
 @dataclass
 class JobHandle:
     """Client-side view of one submitted job."""
@@ -164,8 +240,31 @@ class JobHandle:
         return self.status in ("done", "failed", "cancelled")
 
 
+class _Cancel:
+    """Lets the winner of a hedge race abort the loser from its own
+    thread: closing the loser's socket makes its blocked read raise."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._connection: http.client.HTTPConnection | None = None
+        self._cancelled = False
+
+    def attach(self, connection: http.client.HTTPConnection) -> bool:
+        """Register the attempt's connection; ``False`` once cancelled."""
+        with self._lock:
+            self._connection = connection
+            return not self._cancelled
+
+    def __call__(self) -> None:
+        with self._lock:
+            self._cancelled = True
+            if self._connection is not None:
+                with contextlib.suppress(OSError):
+                    self._connection.close()
+
+
 class ServiceClient:
-    """Blocking HTTP client; one instance per server address."""
+    """Blocking HTTP client over one or more replicas of the service."""
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8642,
@@ -178,42 +277,88 @@ class ServiceClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
+        #: where requests go, each with its own breaker: a plain client
+        #: is its own single replica, :meth:`from_address` lists a fleet.
+        self.replicas: list[ServiceClient] = [self]
+        #: races a fleet's submissions across replicas (unused with one).
+        self.hedge: HedgePolicy | None = None
+        #: job id -> index of the replica that issued it (fleets only).
+        #: Bounded LRU (plus explicit eviction when a result is
+        #: retrieved) so a long-lived campaign client never leaks one
+        #: entry per job.
+        self._pin: "OrderedDict[str, int]" = OrderedDict()
+        #: most pinned job ids retained before the oldest are dropped.
+        self.pin_limit = 4096
         #: injectable for tests (captures the exact backoff schedule).
         self._sleep: Callable[[float], None] = time.sleep
 
     @classmethod
-    def from_address(cls, address: str, timeout: float = 120.0
-                     ) -> "ServiceClient":
-        """Parse ``host:port`` (or bare ``:port`` for localhost)."""
-        host, _, port_text = address.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ServiceError(
-                f"bad server address {address!r} (expected host:port)",
-                status=400, kind="bad-address",
-            ) from None
-        return cls(host=host or "127.0.0.1", port=port, timeout=timeout)
+    def from_address(
+        cls,
+        address: str,
+        timeout: float = 120.0,
+        hedge: HedgePolicy | None = None,
+    ) -> "ServiceClient":
+        """Parse ``host:port`` (or bare ``:port`` for localhost), or a
+        comma-separated fleet of them whose submissions ``hedge`` (by
+        default an adaptive :class:`HedgePolicy`) races across
+        replicas."""
+        replicas = []
+        parts = [part.strip() for part in address.split(",") if part.strip()]
+        for part in parts or [address]:
+            host, _, port_text = part.rpartition(":")
+            try:
+                port = int(port_text)
+            except ValueError:
+                raise ServiceError(
+                    f"bad server address {part!r} (expected host:port)",
+                    status=400, kind="bad-address",
+                ) from None
+            replicas.append(
+                cls(host=host or "127.0.0.1", port=port, timeout=timeout)
+            )
+        client = replicas[0]
+        if len(replicas) > 1:
+            client.replicas = replicas
+            client.hedge = hedge if hedge is not None else HedgePolicy()
+        return client
+
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
 
     # -- transport -------------------------------------------------------
 
     def _attempt(
-        self, method: str, path: str, payload: bytes | None
+        self,
+        method: str,
+        path: str,
+        payload: bytes | None,
+        hedged: bool = False,
+        cancel: _Cancel | None = None,
     ) -> dict[str, Any]:
-        """One request over one connection, closed on every path."""
+        """One request to this replica over one connection, closed on
+        every path.  A hedge race passes ``cancel`` so the other side can
+        abort the attempt, and marks its duplicate ``hedged``."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
+            if cancel is not None and not cancel.attach(connection):
+                raise ServiceError(
+                    "hedged attempt cancelled before start",
+                    status=499, kind="hedge-cancelled",
+                )
             headers = {"Content-Type": "application/json"} if payload else {}
+            if hedged:
+                headers["X-Repro-Hedge"] = "1"
             try:
                 connection.request(method, path, body=payload, headers=headers)
                 response = connection.getresponse()
                 raw = response.read()
             except (OSError, http.client.HTTPException) as exc:
                 raise ServiceError(
-                    f"cannot reach synthesis server at "
-                    f"{self.host}:{self.port}: {exc}",
+                    f"cannot reach synthesis server at {self.address}: {exc}",
                     status=503, kind="unreachable",
                 ) from exc
             try:
@@ -239,44 +384,187 @@ class ServiceClient:
         """Transport failures and 5xx retry; 4xx never does."""
         return exc.kind in ("unreachable", "bad-response") or exc.status >= 500
 
+    @classmethod
+    def _record(cls, replica: "ServiceClient", exc: ServiceError | None
+                ) -> None:
+        """A success or a 4xx is a healthy server answering; a transport
+        failure or a 5xx counts against the replica's breaker."""
+        if exc is not None and cls._retryable(exc):
+            replica.breaker.record_failure()
+        else:
+            replica.breaker.record_success()
+
     def _request(
         self, method: str, path: str, body: dict | None = None
     ) -> dict[str, Any]:
-        if not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit open for {self.host}:{self.port} "
-                f"(cooling down after {self.breaker.threshold} "
-                f"consecutive failures)"
-            ).with_context(
-                replica=f"{self.host}:{self.port}",
-                breaker=self.breaker.state,
-            )
+        """The one path every endpoint call takes: route the request,
+        retry transport failures and 5xx with backoff until every target
+        replica's breaker is open, and pin a fleet submission's job id to
+        the replica that issued it."""
         payload = json.dumps(body).encode() if body is not None else None
+        targets = self._route(method, path)
         attempt = 0
         while True:
-            try:
-                data = self._attempt(method, path, payload)
-            except ServiceError as exc:
-                # Attach the attempt history so a fleet failure is
-                # debuggable from the exception alone.
-                exc.with_context(
-                    replica=f"{self.host}:{self.port}",
-                    retries_used=attempt,
-                    breaker=self.breaker.state,
+            admitted = [
+                replica for replica in targets if replica.breaker.allow()
+            ]
+            if not admitted:
+                raise CircuitOpenError(
+                    f"circuit open for "
+                    f"{', '.join(replica.address for replica in targets)} "
+                    f"(cooling down after consecutive failures)"
+                ).with_context(
+                    replicas=len(targets), breaker=targets[0].breaker.state,
                 )
-                if not self._retryable(exc):
-                    # The server answered; only its answer was a 4xx.
-                    self.breaker.record_success()
-                    raise
-                self.breaker.record_failure()
-                if attempt >= self.retry.retries or not self.breaker.allow():
-                    exc.with_context(breaker=self.breaker.state)
+            try:
+                if len(targets) == 1:
+                    winner = admitted[0]
+                    data = self._call(winner, method, path, payload)
+                else:
+                    data, winner = self._race(admitted, method, path, payload)
+            except ServiceError as exc:
+                exc.with_context(retries_used=attempt)
+                if (
+                    not self._retryable(exc)
+                    or attempt >= self.retry.retries
+                    or all(replica.breaker.state == CircuitBreaker.OPEN
+                           for replica in targets)
+                ):
                     raise
                 self._sleep(self.retry.backoff(attempt))
                 attempt += 1
                 continue
-            self.breaker.record_success()
+            if len(targets) > 1:
+                self._remember_pin(
+                    data["job"]["id"], self.replicas.index(winner)
+                )
             return data
+
+    def _route(self, method: str, path: str) -> "list[ServiceClient]":
+        """The replicas a request may go to, in preference order: a
+        fleet races submissions over all of them, sends a job's calls to
+        the replica that issued it and everything else to the first."""
+        if len(self.replicas) == 1 or (method, path) == ("POST", "/jobs"):
+            return self.replicas
+        if path.startswith("/jobs/"):
+            job_id = path.split("/")[2].partition("?")[0]
+            return [self._pinned(job_id)]
+        return self.replicas[:1]
+
+    def _call(
+        self,
+        replica: "ServiceClient",
+        method: str,
+        path: str,
+        payload: bytes | None,
+    ) -> dict[str, Any]:
+        """One attempt on one replica, inline on the caller's thread."""
+        try:
+            data = replica._attempt(method, path, payload)
+        except ServiceError as exc:
+            self._record(replica, exc)
+            raise exc.with_context(
+                replica=replica.address, breaker=replica.breaker.state,
+            )
+        self._record(replica, None)
+        return data
+
+    def _race(
+        self,
+        order: "list[ServiceClient]",
+        method: str,
+        path: str,
+        payload: bytes | None,
+    ) -> "tuple[dict[str, Any], ServiceClient]":
+        """One hedged round: the primary at once, a duplicate on the next
+        replica after the hedge delay (or as soon as the primary fails);
+        the first success wins and the loser is cancelled.  Returns
+        ``(data, replica)``."""
+        hedge = self.hedge
+        assert hedge is not None
+        results: SimpleQueue = SimpleQueue()
+        cancels: list[_Cancel] = []
+
+        def launch() -> None:
+            index = len(cancels)
+            cancel = _Cancel()
+            cancels.append(cancel)
+            if index:
+                hedge.fired += 1
+
+            def run() -> None:
+                try:
+                    results.put((index, order[index]._attempt(
+                        method, path, payload, hedged=index > 0,
+                        cancel=cancel,
+                    )))
+                except ServiceError as exc:
+                    results.put((index, exc))
+
+            threading.Thread(target=run, daemon=True).start()
+
+        started = hedge.clock()
+        launch()
+        hedge_delay = hedge.current_delay() if len(order) > 1 else None
+        failures: list[ServiceError] = []
+        while True:
+            timeout = None
+            if hedge_delay is not None and len(cancels) == 1:
+                timeout = started + hedge_delay - hedge.clock()
+                if timeout <= 0:
+                    launch()
+                    continue
+            try:
+                index, value = results.get(timeout=timeout)
+            except Empty:
+                continue
+            replica = order[index]
+            hedge_fired = len(cancels) > 1
+            if not isinstance(value, ServiceError):
+                self._record(replica, None)
+                hedge.observe(hedge.clock() - started)
+                if index:
+                    hedge.won += 1
+                for cancel in cancels:
+                    cancel()
+                return value, replica
+            self._record(replica, value)
+            if not self._retryable(value):
+                # An authoritative 4xx answer — the request itself is
+                # wrong on every replica; cancel the race and raise.
+                for cancel in cancels:
+                    cancel()
+                raise value.with_context(
+                    replica=replica.address, hedge_fired=hedge_fired,
+                )
+            failures.append(value.with_context(replica=replica.address))
+            if not hedge_fired and len(order) > 1:
+                # Primary failed fast: promote the hedge immediately.
+                launch()
+            elif len(failures) == len(cancels):
+                raise failures[-1].with_context(
+                    hedge_fired=hedge_fired, replicas_tried=len(failures),
+                )
+
+    def _remember_pin(self, job_id: str, index: int) -> None:
+        self._pin[job_id] = index
+        self._pin.move_to_end(job_id)
+        while len(self._pin) > self.pin_limit:
+            self._pin.popitem(last=False)
+
+    def _pinned(self, job_id: str) -> "ServiceClient":
+        index = self._pin.get(job_id)
+        if index is None:
+            # Job ids are replica-local: guessing a replica would turn a
+            # client-side lookup bug into a misleading unknown-job 404.
+            raise ServiceError(
+                f"job {job_id} is not pinned to any replica (it was not "
+                f"submitted through this client, or its pin was dropped "
+                f"after the result was retrieved)",
+                status=404, kind="unpinned-job",
+            )
+        self._pin.move_to_end(job_id)
+        return self.replicas[index]
 
     # -- endpoints -------------------------------------------------------
 
@@ -355,7 +643,10 @@ class ServiceClient:
 
     def result(self, job_id: str) -> dict[str, Any]:
         """The finished job's payload: {"result": ..., "profile": ...}."""
-        return self._request("GET", f"/jobs/{job_id}/result")
+        data = self._request("GET", f"/jobs/{job_id}/result")
+        # Terminal: the payload is in hand, the pin has done its job.
+        self._pin.pop(job_id, None)
+        return data
 
     def wait(self, job_id: str, deadline: float = 600.0) -> JobHandle:
         """Block (long-polling) until the job finishes or ``deadline``."""
@@ -385,12 +676,17 @@ class ServiceClient:
         its journal, so the job lives on under a fresh id — when the old
         id comes back 404, the same body is resubmitted and re-attaches
         by fingerprint (to the replayed job, or straight to its stored
-        result).  Raises :class:`ServiceError` with the job's structured
+        result).  A fleet also resubmits when the job's replica becomes
+        unreachable: the resubmission lands wherever the fleet answers
+        first.  Raises :class:`ServiceError` with the job's structured
         error when the solve fails.
         """
         body = self._submit_body(
             assay, spec, method=method, degrade=degrade,
         )
+        resubmit_on = {"unknown-job"}
+        if len(self.replicas) > 1:
+            resubmit_on.add("unreachable")
         end = time.monotonic() + deadline
         resubmissions = 0
         handle = JobHandle.from_json(
@@ -416,9 +712,7 @@ class ServiceClient:
                     )
                 return self.result(handle.id)
             except ServiceError as exc:
-                # A restarted server knows the fingerprint, not our job
-                # id; resubmit the identical body to re-attach.
-                if exc.kind != "unknown-job" or resubmissions >= 3:
+                if exc.kind not in resubmit_on or resubmissions >= 3:
                     raise
                 resubmissions += 1
                 handle = JobHandle.from_json(
@@ -426,472 +720,8 @@ class ServiceClient:
                 )
 
 
-class HedgePolicy:
-    """When to fire a duplicate request at a second replica.
-
-    The hedge delay adapts to observed latency: once ``min_samples``
-    request durations have been recorded, the delay is the configured
-    ``percentile`` of the recent sample window; before that (or with a
-    fixed ``delay``) the static value applies.  ``clock`` is injectable
-    so tests control both the measured latencies and the firing time.
-    """
-
-    def __init__(
-        self,
-        delay: float | None = None,
-        percentile: float = 0.95,
-        min_samples: int = 8,
-        initial_delay: float = 1.0,
-        max_samples: int = 128,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if delay is not None and delay < 0:
-            raise ServiceError("hedge delay must be >= 0", status=400)
-        if not 0.0 < percentile <= 1.0:
-            raise ServiceError(
-                "hedge percentile must be in (0, 1]", status=400
-            )
-        if min_samples < 1 or max_samples < min_samples:
-            raise ServiceError("bad hedge sample bounds", status=400)
-        #: fixed hedge delay, seconds; ``None`` adapts to the percentile.
-        self.delay = delay
-        self.percentile = percentile
-        self.min_samples = min_samples
-        #: delay used until enough samples accumulate.
-        self.initial_delay = initial_delay
-        self.clock = clock
-        self._samples: deque[float] = deque(maxlen=max_samples)
-        #: hedges actually fired.
-        self.fired = 0
-        #: hedges whose duplicate finished first.
-        self.won = 0
-
-    def observe(self, seconds: float) -> None:
-        """Record one completed request's duration."""
-        self._samples.append(seconds)
-
-    def current_delay(self) -> float:
-        """Seconds to wait before hedging the in-flight request."""
-        if self.delay is not None:
-            return self.delay
-        if len(self._samples) < self.min_samples:
-            return self.initial_delay
-        ordered = sorted(self._samples)
-        index = min(
-            len(ordered) - 1,
-            max(0, int(self.percentile * len(ordered)) - 1)
-            if self.percentile < 1.0
-            else len(ordered) - 1,
-        )
-        return ordered[index]
-
-    def counters(self) -> dict[str, Any]:
-        return {
-            "fired": self.fired,
-            "won": self.won,
-            "samples": len(self._samples),
-            "current_delay": self.current_delay(),
-        }
-
-
-class _HedgedAttempt:
-    """One request on one replica whose socket a peer thread can close.
-
-    Unlike :meth:`ServiceClient._attempt`, the connection is held on the
-    instance so the losing side of a hedge race can be cancelled from
-    the winner's thread — closing the socket makes the blocked read
-    raise, and the connection is still closed in a ``finally`` on every
-    path.
-    """
-
-    def __init__(
-        self,
-        client: "ServiceClient",
-        method: str,
-        path: str,
-        payload: bytes | None,
-        hedged: bool,
-    ) -> None:
-        self.client = client
-        self.method = method
-        self.path = path
-        self.payload = payload
-        self.hedged = hedged
-        self._connection: http.client.HTTPConnection | None = None
-        self._cancelled = False
-        self._lock = threading.Lock()
-
-    def cancel(self) -> None:
-        """Abort the attempt: close its socket out from under it."""
-        with self._lock:
-            self._cancelled = True
-            if self._connection is not None:
-                try:
-                    self._connection.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
-
-    def execute(self) -> dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.client.host, self.client.port,
-            timeout=self.client.timeout,
-        )
-        with self._lock:
-            if self._cancelled:
-                connection.close()
-                raise ServiceError(
-                    "hedged attempt cancelled before start",
-                    status=499, kind="hedge-cancelled",
-                )
-            self._connection = connection
-        try:
-            headers = (
-                {"Content-Type": "application/json"} if self.payload else {}
-            )
-            if self.hedged:
-                headers["X-Repro-Hedge"] = "1"
-            try:
-                connection.request(
-                    self.method, self.path, body=self.payload,
-                    headers=headers,
-                )
-                response = connection.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                if self._cancelled:
-                    raise ServiceError(
-                        "hedged attempt cancelled mid-flight",
-                        status=499, kind="hedge-cancelled",
-                    ) from exc
-                raise ServiceError(
-                    f"cannot reach synthesis server at "
-                    f"{self.client.host}:{self.client.port}: {exc}",
-                    status=503, kind="unreachable",
-                ) from exc
-            try:
-                data = json.loads(raw) if raw else {}
-            except json.JSONDecodeError as exc:
-                raise ServiceError(
-                    f"non-JSON response from server: {exc}",
-                    status=502, kind="bad-response",
-                ) from exc
-            if response.status >= 400:
-                error = data.get("error") or {}
-                raise ServiceError(
-                    error.get("message", f"HTTP {response.status}"),
-                    status=response.status,
-                    kind=error.get("kind", "error"),
-                )
-            return data
-        finally:
-            connection.close()
-
-
-class FleetClient:
-    """Client over N replicas: hedged submits, pinned follow-ups.
-
-    Submissions (``POST /jobs``) are safe to hedge — the fleet coalesces
-    them on the run fingerprint across replicas, so a duplicate attaches
-    to the in-flight solve instead of recomputing.  Job *ids* however
-    are replica-local, so every status/result/cancel call is pinned to
-    the replica that issued the handle.
-
-    Per-replica :class:`CircuitBreaker` instances keep one dead replica
-    from absorbing traffic; the outer :class:`RetryPolicy` composes
-    *around* hedged attempts (one backoff cycle may span two replicas).
-    """
-
-    def __init__(
-        self,
-        clients: "list[ServiceClient]",
-        hedge: "HedgePolicy | None" = None,
-        retry: "RetryPolicy | None" = None,
-    ) -> None:
-        if not clients:
-            raise ServiceError(
-                "fleet client needs at least one replica", status=400
-            )
-        self.clients = list(clients)
-        self.hedge = hedge if hedge is not None else HedgePolicy()
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: job id -> index of the replica that issued it.  Bounded LRU
-        #: (plus explicit eviction when a result is retrieved) so a
-        #: long-lived campaign client never leaks one entry per job.
-        self._pin: "OrderedDict[str, int]" = OrderedDict()
-        #: most pinned job ids retained before the oldest are dropped.
-        self.pin_limit = 4096
-        #: injectable for tests.
-        self._sleep: Callable[[float], None] = time.sleep
-
-    @classmethod
-    def from_addresses(
-        cls,
-        addresses: str,
-        timeout: float = 120.0,
-        hedge: "HedgePolicy | None" = None,
-    ) -> "FleetClient":
-        """Parse ``host:port,host:port,...`` into a fleet client."""
-        clients = [
-            ServiceClient.from_address(part.strip(), timeout=timeout)
-            for part in addresses.split(",") if part.strip()
-        ]
-        return cls(clients, hedge=hedge)
-
-    # -- hedged transport -------------------------------------------------
-
-    def _launch(
-        self,
-        index: int,
-        method: str,
-        path: str,
-        payload: bytes | None,
-        hedged: bool,
-        attempts: dict,
-        results: SimpleQueue,
-    ) -> None:
-        attempt = _HedgedAttempt(
-            self.clients[index], method, path, payload, hedged
-        )
-        attempts[index] = attempt
-
-        def _run() -> None:
-            try:
-                results.put((index, True, attempt.execute()))
-            except ServiceError as exc:
-                results.put((index, False, exc))
-
-        threading.Thread(target=_run, daemon=True).start()
-
-    def _hedged_once(
-        self, method: str, path: str, body: dict | None
-    ) -> tuple[dict[str, Any], int]:
-        """One hedged round: primary attempt, duplicate after the hedge
-        delay, first success wins, loser cancelled.  Returns ``(data,
-        replica_index)``."""
-        payload = json.dumps(body).encode() if body is not None else None
-        order = [
-            index for index, client in enumerate(self.clients)
-            if client.breaker.allow()
-        ]
-        if not order:
-            raise CircuitOpenError(
-                "every replica's circuit is open"
-            ).with_context(replicas=len(self.clients))
-        results: SimpleQueue = SimpleQueue()
-        attempts: dict[int, _HedgedAttempt] = {}
-        started = self.hedge.clock()
-        primary = order[0]
-        self._launch(primary, method, path, payload, False,
-                     attempts, results)
-        can_hedge = len(order) > 1
-        hedge_delay = self.hedge.current_delay() if can_hedge else None
-        hedge_fired = False
-        failures: list[ServiceError] = []
-        outstanding = 1
-
-        def _fire_hedge() -> None:
-            nonlocal hedge_fired, outstanding
-            self._launch(order[1], method, path, payload, True,
-                         attempts, results)
-            hedge_fired = True
-            outstanding += 1
-            self.hedge.fired += 1
-
-        while True:
-            timeout = None
-            if hedge_delay is not None and not hedge_fired:
-                remaining = started + hedge_delay - self.hedge.clock()
-                if remaining <= 0:
-                    _fire_hedge()
-                    continue
-                timeout = remaining
-            try:
-                index, ok, value = results.get(timeout=timeout)
-            except Empty:
-                continue
-            client = self.clients[index]
-            if ok:
-                client.breaker.record_success()
-                self.hedge.observe(self.hedge.clock() - started)
-                if hedge_fired and index != primary:
-                    self.hedge.won += 1
-                for other, attempt in attempts.items():
-                    if other != index:
-                        attempt.cancel()
-                return value, index
-            exc = value
-            if exc.kind == "hedge-cancelled":
-                outstanding -= 1
-                continue  # the loser we cancelled ourselves
-            if not ServiceClient._retryable(exc):
-                # An authoritative 4xx answer — the request itself is
-                # wrong on every replica; cancel the race and raise.
-                client.breaker.record_success()
-                for other, attempt in attempts.items():
-                    if other != index:
-                        attempt.cancel()
-                raise exc.with_context(
-                    replica=f"{client.host}:{client.port}",
-                    hedge_fired=hedge_fired,
-                )
-            client.breaker.record_failure()
-            failures.append(exc.with_context(
-                replica=f"{client.host}:{client.port}",
-            ))
-            outstanding -= 1
-            if not hedge_fired and can_hedge:
-                # Primary failed fast: promote the hedge immediately.
-                _fire_hedge()
-                continue
-            if outstanding == 0:
-                raise failures[-1].with_context(
-                    hedge_fired=hedge_fired,
-                    replicas_tried=len(failures),
-                )
-
-    def _request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> tuple[dict[str, Any], int]:
-        attempt = 0
-        while True:
-            try:
-                return self._hedged_once(method, path, body)
-            except CircuitOpenError:
-                raise
-            except ServiceError as exc:
-                if (
-                    not ServiceClient._retryable(exc)
-                    or attempt >= self.retry.retries
-                ):
-                    raise exc.with_context(retries_used=attempt)
-                self._sleep(self.retry.backoff(attempt))
-                attempt += 1
-
-    # -- endpoints --------------------------------------------------------
-
-    def _remember_pin(self, job_id: str, index: int) -> None:
-        self._pin[job_id] = index
-        self._pin.move_to_end(job_id)
-        while len(self._pin) > self.pin_limit:
-            self._pin.popitem(last=False)
-
-    def _pinned(self, job_id: str) -> "ServiceClient":
-        index = self._pin.get(job_id)
-        if index is None:
-            # Job ids are replica-local: guessing a replica would turn a
-            # client-side lookup bug into a misleading unknown-job 404.
-            raise ServiceError(
-                f"job {job_id} is not pinned to any replica (it was not "
-                f"submitted through this client, or its pin was dropped "
-                f"after the result was retrieved)",
-                status=404, kind="unpinned-job",
-            )
-        self._pin.move_to_end(job_id)
-        return self.clients[index]
-
-    def submit(
-        self,
-        assay: Any,
-        spec: Any = None,
-        method: str = "hls",
-        priority: int = 0,
-        timeout: float | None = None,
-        degrade: bool | None = None,
-    ) -> JobHandle:
-        body = self.clients[0]._submit_body(
-            assay, spec, method=method, priority=priority,
-            timeout=timeout, degrade=degrade,
-        )
-        data, index = self._request("POST", "/jobs", body)
-        handle = JobHandle.from_json(data["job"])
-        self._remember_pin(handle.id, index)
-        return handle
-
-    def status(self, job_id: str, wait: float = 0.0) -> JobHandle:
-        return self._pinned(job_id).status(job_id, wait=wait)
-
-    def result(self, job_id: str) -> dict[str, Any]:
-        data = self._pinned(job_id).result(job_id)
-        # Terminal: the payload is in hand, the pin has done its job.
-        self._pin.pop(job_id, None)
-        return data
-
-    def cancel(self, job_id: str) -> JobHandle:
-        return self._pinned(job_id).cancel(job_id)
-
-    def wait(self, job_id: str, deadline: float = 600.0) -> JobHandle:
-        return self._pinned(job_id).wait(job_id, deadline=deadline)
-
-    def health(self, index: int = 0) -> dict[str, Any]:
-        return self.clients[index].health()
-
-    def metrics(self, index: int = 0) -> dict[str, Any]:
-        return self.clients[index].metrics()
-
-    def synthesize(
-        self,
-        assay: Any,
-        spec: Any = None,
-        method: str = "hls",
-        deadline: float = 600.0,
-        degrade: bool | None = None,
-    ) -> dict[str, Any]:
-        """Hedged submit + pinned wait + result, with unknown-job
-        resubmission (a restarted or failed-over replica knows the
-        fingerprint, not our job id — the re-hedged resubmission lands
-        wherever the fleet answers first)."""
-        body = self.clients[0]._submit_body(
-            assay, spec, method=method, degrade=degrade,
-        )
-        end = time.monotonic() + deadline
-        resubmissions = 0
-        data, index = self._request("POST", "/jobs", body)
-        handle = JobHandle.from_json(data["job"])
-        self._remember_pin(handle.id, index)
-        while True:
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                raise ServiceError(
-                    f"job {handle.id} not finished within {deadline:g}s",
-                    status=408, kind="wait-timeout",
-                )
-            client = self.clients[index]
-            try:
-                handle = client.wait(handle.id, deadline=remaining)
-                if handle.status != "done":
-                    error = handle.error or {}
-                    raise ServiceError(
-                        error.get(
-                            "message", f"job {handle.id} {handle.status}"
-                        ),
-                        status=500,
-                        kind=error.get("kind", handle.status),
-                    )
-                payload = client.result(handle.id)
-                self._pin.pop(handle.id, None)
-                return payload
-            except ServiceError as exc:
-                if exc.kind not in ("unknown-job", "unreachable") \
-                        or resubmissions >= 3:
-                    raise
-                resubmissions += 1
-                data, index = self._request("POST", "/jobs", body)
-                handle = JobHandle.from_json(data["job"])
-                self._remember_pin(handle.id, index)
-
-    def counters(self) -> dict[str, Any]:
-        return {
-            "replicas": [
-                f"{client.host}:{client.port}" for client in self.clients
-            ],
-            "breakers": [client.breaker.state for client in self.clients],
-            "hedge": self.hedge.counters(),
-        }
-
-
 __all__ = [
     "CircuitBreaker",
-    "FleetClient",
     "HedgePolicy",
     "JobHandle",
     "RetryPolicy",

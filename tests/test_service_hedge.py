@@ -1,17 +1,21 @@
-"""Tests for hedged fleet requests (repro.service.client.HedgePolicy /
-FleetClient) and the attempt-context satellite on ServiceError."""
+"""Tests for hedged fleet requests (repro.service.client.HedgePolicy and
+a ServiceClient over several replicas) and the attempt-context satellite
+on ServiceError."""
 
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import (
+    BaseHTTPRequestHandler,
+    HTTPServer,
+    ThreadingHTTPServer,
+)
 
 import pytest
 
 from repro.errors import CircuitOpenError, ServiceError
 from repro.service.client import (
     CircuitBreaker,
-    FleetClient,
     HedgePolicy,
     RetryPolicy,
     ServiceClient,
@@ -78,6 +82,16 @@ class StubReplica:
         return ServiceClient(port=self.port, timeout=10.0, **kwargs)
 
 
+def fleet_client(ports, hedge, retry) -> ServiceClient:
+    """One client over loopback replicas on ``ports``."""
+    fleet = ServiceClient.from_address(
+        ",".join(f"127.0.0.1:{port}" for port in ports),
+        timeout=10.0, hedge=hedge,
+    )
+    fleet.retry = retry
+    return fleet
+
+
 @pytest.fixture
 def replicas():
     created = []
@@ -121,10 +135,15 @@ class TestHedgePolicy:
         policy = HedgePolicy(min_samples=5, percentile=0.5)
         for value in (5.0, 1.0, 4.0, 2.0, 3.0, 6.0, 7.0, 8.0, 9.0, 10.0):
             policy.observe(value)
-        # 10 samples, p50 -> sorted index int(0.5*10)-1 = 4 -> 5.0
+        # 10 samples, p50 -> nearest rank ceil(0.5*10) = 5th -> 5.0
         assert policy.current_delay() == 5.0
         policy.percentile = 1.0
         assert policy.current_delay() == 10.0
+        # 8 samples, p95 -> nearest rank ceil(0.95*8) = 8th: the maximum.
+        policy = HedgePolicy(min_samples=8, percentile=0.95)
+        for value in (3.0, 8.0, 1.0, 6.0, 2.0, 7.0, 5.0, 4.0):
+            policy.observe(value)
+        assert policy.current_delay() == 8.0
 
     def test_sample_window_is_bounded(self):
         policy = HedgePolicy(min_samples=1, max_samples=4)
@@ -137,8 +156,8 @@ class TestFleetHedging:
     def test_hedge_fires_and_duplicate_wins(self, replicas):
         slow = replicas("slow", delay=1.5)
         fast = replicas("fast", delay=0.0)
-        fleet = FleetClient(
-            [slow.client(), fast.client()],
+        fleet = fleet_client(
+            [slow.port, fast.port],
             hedge=HedgePolicy(delay=0.1),
             retry=RetryPolicy(retries=0, seed=0),
         )
@@ -154,13 +173,13 @@ class TestFleetHedging:
             req.get("X-Repro-Hedge") == "1" for req in fast.requests
         )
         # Follow-ups pin to the issuing replica.
-        assert fleet._pinned(handle.id) is fleet.clients[1]
+        assert fleet._pinned(handle.id) is fleet.replicas[1]
 
     def test_fast_primary_never_hedges(self, replicas):
         fast = replicas("fast", delay=0.0)
         other = replicas("other", delay=0.0)
-        fleet = FleetClient(
-            [fast.client(), other.client()],
+        fleet = fleet_client(
+            [fast.port, other.port],
             hedge=HedgePolicy(delay=5.0),
             retry=RetryPolicy(retries=0, seed=0),
         )
@@ -171,11 +190,8 @@ class TestFleetHedging:
 
     def test_dead_primary_promotes_hedge_immediately(self, replicas):
         fast = replicas("fast", delay=0.0)
-        dead = ServiceClient(
-            port=1, timeout=1.0, retry=RetryPolicy(retries=0, seed=0),
-        )  # nothing listens on port 1
-        fleet = FleetClient(
-            [dead, fast.client()],
+        fleet = fleet_client(
+            [1, fast.port],  # nothing listens on port 1
             hedge=HedgePolicy(delay=30.0),  # would never fire by timer
             retry=RetryPolicy(retries=0, seed=0),
         )
@@ -184,14 +200,8 @@ class TestFleetHedging:
         assert fleet.hedge.fired == 1
 
     def test_all_replicas_down_raises_with_context(self):
-        dead_a = ServiceClient(
-            port=1, timeout=1.0, retry=RetryPolicy(retries=0, seed=0),
-        )
-        dead_b = ServiceClient(
-            port=2, timeout=1.0, retry=RetryPolicy(retries=0, seed=0),
-        )
-        fleet = FleetClient(
-            [dead_a, dead_b],
+        fleet = fleet_client(
+            [1, 2],
             hedge=HedgePolicy(delay=0.0),
             retry=RetryPolicy(retries=0, seed=0),
         )
@@ -208,8 +218,8 @@ class TestFleetHedging:
     def test_authoritative_4xx_is_not_retried(self, replicas):
         bad = replicas("bad", status=400, error_kind="bad-request")
         other = replicas("other", delay=5.0)
-        fleet = FleetClient(
-            [bad.client(), other.client()],
+        fleet = fleet_client(
+            [bad.port, other.port],
             hedge=HedgePolicy(delay=10.0),
             retry=RetryPolicy(retries=3, seed=0),
         )
@@ -222,16 +232,13 @@ class TestFleetHedging:
         assert time.monotonic() - started < 4.0  # no retry backoff
         assert len(bad.requests) == 1
         # A 4xx is a healthy server answering: the breaker stays closed.
-        assert fleet.clients[0].breaker.state == "closed"
+        assert fleet.replicas[0].breaker.state == "closed"
 
     def test_all_breakers_open_fails_fast(self, replicas):
         fast = replicas("fast")
         tripped = CircuitBreaker(threshold=1, cooldown=60.0)
         tripped.record_failure()
-        fleet = FleetClient(
-            [fast.client(breaker=tripped)],
-            hedge=HedgePolicy(delay=0.0),
-        )
+        fleet = fast.client(breaker=tripped)
         with pytest.raises(CircuitOpenError) as err:
             fleet.submit({"format": 1})
         assert err.value.context["replicas"] == 1
@@ -241,17 +248,9 @@ class TestFleetHedging:
 class TestFleetPins:
     """The job-id -> replica pin table is bounded and loud on misses."""
 
-    def _fleet(self) -> FleetClient:
-        clients = [
-            ServiceClient(
-                port=1, timeout=1.0, retry=RetryPolicy(retries=0, seed=0),
-            ),
-            ServiceClient(
-                port=2, timeout=1.0, retry=RetryPolicy(retries=0, seed=0),
-            ),
-        ]
-        return FleetClient(
-            clients, hedge=HedgePolicy(delay=0.0),
+    def _fleet(self) -> ServiceClient:
+        return fleet_client(
+            [1, 2], hedge=HedgePolicy(delay=0.0),
             retry=RetryPolicy(retries=0, seed=0),
         )
 
@@ -269,7 +268,7 @@ class TestFleetPins:
         fleet = self._fleet()
         fleet._remember_pin("job-1", 1)
         monkeypatch.setattr(
-            ServiceClient, "result", lambda self, job_id: {"ok": True}
+            ServiceClient, "_attempt", lambda self, *args: {"ok": True}
         )
         assert fleet.result("job-1") == {"ok": True}
         assert "job-1" not in fleet._pin
@@ -285,6 +284,134 @@ class TestFleetPins:
         assert len(fleet._pin) == 8
         assert "job-19" in fleet._pin
         assert "job-11" not in fleet._pin
+
+
+class JobStub:
+    """A job endpoint on a plain ``HTTPServer``: requests are answered
+    one at a time on the serving thread.  Every submission gets a fresh
+    job id; the first ``lost`` status calls answer 404 ``unknown-job``,
+    as a restarted server does for the ids it handed out before."""
+
+    def __init__(self, lost: int = 0):
+        self.lost = lost
+        self.submits = 0
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def _answer(self, status, body):
+                raw = json.dumps(body).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(raw)))
+                self.end_headers()
+                self.wfile.write(raw)
+
+            def do_POST(self):  # noqa: N802 - http.server API
+                self.rfile.read(int(self.headers["Content-Length"]))
+                stub.submits += 1
+                self._answer(200, {"job": {
+                    "id": f"job-{stub.submits}", "fingerprint": "fp",
+                    "status": "pending",
+                }})
+
+            def do_GET(self):  # noqa: N802 - http.server API
+                job_id = self.path.split("/")[2].partition("?")[0]
+                if self.path.endswith("/result"):
+                    self._answer(200, {"result": {"job": job_id}})
+                elif stub.lost > 0:
+                    stub.lost -= 1
+                    self._answer(404, {"error": {
+                        "kind": "unknown-job",
+                        "message": f"no job {job_id}",
+                    }})
+                else:
+                    self._answer(200, {"job": {
+                        "id": job_id, "fingerprint": "fp",
+                        "status": "done",
+                    }})
+
+            def log_message(self, *args):  # silence
+                pass
+
+        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.port = self.server.server_address[1]
+        threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        ).start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+@pytest.fixture
+def job_stubs():
+    created = []
+
+    def make(lost: int = 0) -> JobStub:
+        stub = JobStub(lost)
+        created.append(stub)
+        return stub
+
+    yield make
+    for stub in created:
+        stub.close()
+
+
+def job_client(stubs: list, replicas: int) -> ServiceClient:
+    """A plain client on the first stub, or a fleet over both whose
+    hedge never fires (so every call lands on the first)."""
+    if replicas == 1:
+        return ServiceClient(
+            port=stubs[0].port, timeout=10.0,
+            retry=RetryPolicy(retries=0, seed=0),
+        )
+    return fleet_client(
+        [stub.port for stub in stubs], hedge=HedgePolicy(delay=30.0),
+        retry=RetryPolicy(retries=0, seed=0),
+    )
+
+
+class TestSynthesizeReattach:
+    """``synthesize`` resubmits the same body when a job id comes back
+    404 ``unknown-job`` mid-wait, at most three times."""
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_unknown_job_resubmits_and_reattaches(self, job_stubs, replicas):
+        stubs = [job_stubs(lost=1), job_stubs()]
+        client = job_client(stubs, replicas)
+        payload = client.synthesize({"format": 1})
+        assert payload == {"result": {"job": "job-2"}}
+        assert stubs[0].submits == 2
+        assert stubs[1].submits == 0
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_fourth_unknown_job_raises(self, job_stubs, replicas):
+        stubs = [job_stubs(lost=4), job_stubs()]
+        client = job_client(stubs, replicas)
+        with pytest.raises(ServiceError) as err:
+            client.synthesize({"format": 1})
+        assert err.value.kind == "unknown-job"
+        assert stubs[0].submits == 4  # the first try + 3 resubmissions
+
+
+class TestInlineOneReplica:
+    def test_no_thread_and_no_pin(self, job_stubs, monkeypatch):
+        """A one-replica client runs every request on the caller's
+        thread and keeps no pin table: the path service clients with a
+        single server take must never move onto the hedge race."""
+        stub = job_stubs()
+        client = job_client([stub], 1)
+
+        def no_thread(self):
+            raise AssertionError("a one-replica request started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        handle = client.submit({"format": 1})
+        assert client.status(handle.id).status == "done"
+        assert client.result(handle.id) == {"result": {"job": "job-1"}}
+        assert client.hedge is None
+        assert client._pin == {}
 
 
 class TestAttemptContext:
