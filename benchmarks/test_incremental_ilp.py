@@ -5,9 +5,9 @@ one-shot path (every pass re-encodes each layer from scratch) and once
 with persistent solver sessions patched by deltas — and records per-case
 wall clock, encode+solve time, and result quality.
 
-A session re-assembles the exact standard form a scratch build produces,
-so both variants must return the same chip; the timings are the input
-for the keep-or-delete verdict on sessions.
+A patched session model equals a scratch build array for array, so
+both variants must return the same chip; the timings are the input for
+the keep-or-delete verdict on sessions.
 """
 
 from __future__ import annotations

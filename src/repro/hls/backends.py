@@ -190,11 +190,12 @@ def _acquire_layer_model(
     """The layer model for ``problem`` plus its solver session, if any.
 
     With a session pool (and ``spec.enable_solver_sessions``), the model
-    comes from the pool — delta-mutated in place when the previous pass's
-    session can absorb the change, freshly built otherwise — and solves go
-    through the attached :class:`~repro.ilp.highs.HighsSession`.  Without one,
-    the model is built from scratch and solved statelessly; results are
-    identical either way (the session re-assembles the same standard form).
+    comes from the pool — its arrays patched in place when the previous
+    pass's session can absorb the change, freshly built otherwise — and
+    solves go through the attached :class:`~repro.ilp.highs.HighsSession`.
+    Without one, the model is built from scratch and solved statelessly;
+    results are identical either way (a patched model is array-for-array
+    the scratch build).
     """
     if sessions is not None and spec.enable_solver_sessions:
         session = sessions.acquire(problem, spec)
@@ -265,7 +266,11 @@ class SchedulerBackend(Protocol):
     nothing else) from ``allocate_uid``; ``warm_from`` is the previous
     pass's result for this layer, already rebased onto the problem's fixed
     devices, or ``None``; the pipeline builds it only for backends whose
-    ``reads_warm_start`` is true.  ``sessions`` is the run's solver-session
+    ``reads_warm_start`` is true.  Layers of a backend whose
+    ``uses_solve_cache`` is false bypass the layer-solve cache: their
+    schedule is the greedy scheduler's, which breaks ties on raw device
+    uids, so a replay under the cache's positional key could differ from
+    a fresh solve.  ``sessions`` is the run's solver-session
     pool (or ``None``); backends that build the layer MIP acquire their
     model through it so re-solves mutate a live model instead of
     re-encoding.
@@ -273,6 +278,7 @@ class SchedulerBackend(Protocol):
 
     name: str
     reads_warm_start: bool
+    uses_solve_cache: bool
 
     def solve(
         self,
@@ -289,6 +295,7 @@ class GreedyBackend:
 
     name = "greedy"
     reads_warm_start = False
+    uses_solve_cache = False
 
     def solve(
         self,
@@ -320,6 +327,7 @@ class IlpBackend:
 
     name = "ilp-highs"
     reads_warm_start = False
+    uses_solve_cache = True
 
     def solve(
         self,
@@ -381,6 +389,7 @@ class PortfolioBackend:
 
     name = "portfolio"
     reads_warm_start = True
+    uses_solve_cache = True
 
     def solve(
         self,
@@ -417,7 +426,7 @@ class PortfolioBackend:
                 layer_model,
                 Solution(
                     status=SolveStatus.FEASIBLE,
-                    objective=layer_model.model.objective.value(warm_values),
+                    objective=layer_model.model.objective_value(warm_values),
                     values=warm_values,
                     backend="reuse",
                 ),
@@ -513,6 +522,7 @@ class LpBoundBackend:
 
     name = "lp-bound"
     reads_warm_start = False
+    uses_solve_cache = False
 
     def solve(
         self,

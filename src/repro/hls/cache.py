@@ -17,10 +17,12 @@ materializes new devices through the caller's uid allocator, so a hit
 gives the stored schedule, binding structure and objective at near-zero
 cost.
 
-Only layers solved by a HiGHS-backed scheduler are cached
-(:class:`repro.hls.pipeline.LayerSolveStage`).  The greedy list scheduler
-breaks ties on raw device uids, which the key names by position, so a
-replayed greedy layer could differ from a fresh solve; and a greedy layer
+Only layers of a backend with ``uses_solve_cache`` — the ILP schedulers
+``portfolio`` and ``ilp-highs`` — are cached
+(:class:`repro.hls.pipeline.LayerSolveStage`).  The ``greedy`` and
+``lp-bound`` layers return the greedy list scheduler's schedule, which
+breaks ties on raw device uids, while the key names devices by position,
+so a replayed layer could differ from a fresh solve; and a greedy layer
 rarely poses a problem an earlier pass posed, so keying it is mostly
 cost.
 """
@@ -120,8 +122,8 @@ def _spec_token(spec: SynthesisSpec) -> tuple:
         # persisted): the solver backend ("auto") here; the warm-start
         # switch (True), warm-start cutoff (False) and conflict-encoding
         # mode ("eager") below.  Solver sessions are deliberately absent:
-        # a session re-assembles the exact standard form a scratch build
-        # produces.
+        # a patched session model is the exact standard form a scratch
+        # build produces.
         "auto",
         spec.scheduler,
         spec.time_limit,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..devices.device import BindingMode, GeneralDevice
 from ..errors import SolverError
 from ..ilp import Solution, SolveStats
@@ -34,6 +36,8 @@ def decode_layer_solution(
 ) -> LayerSolveResult:
     """Translate solver values into placements and concrete new devices.
 
+    ``solution.values`` is the column vector of ``layer_model.model``.
+
     ``uid_allocator`` is a zero-argument callable handing out fresh device
     uids (the synthesizer passes the inventory's allocator so uids stay
     globally unique).
@@ -63,8 +67,8 @@ def decode_layer_solution(
             raise SolverError(f"slot {j} used but has no configuration")
         accessories = frozenset(
             name
-            for (slot, name), var in layer_model.acc.items()
-            if slot == j and solution.int_value(var) == 1
+            for name in layer_model.spec.registry.names
+            if solution.int_value(layer_model.acc[j, name]) == 1
         )
         signature = None
         if mode is BindingMode.EXACT:
@@ -89,17 +93,17 @@ def decode_layer_solution(
     # -- placements ----------------------------------------------------------
     schedule = LayerSchedule(index=problem.layer_index)
     binding: dict[str, str] = {}
+    values = solution.values
     for op in problem.ops:
-        chosen = [
-            key
-            for (uid, key), var in layer_model.od.items()
-            if uid == op.uid and solution.int_value(var) == 1
-        ]
+        # The op's binding columns are one run, in legal-key order.
+        keys = layer_model.legal_keys[op.uid]
+        first = layer_model.od[op.uid, keys[0]]
+        chosen = np.flatnonzero(np.round(values[first : first + len(keys)]) == 1)
         if len(chosen) != 1:
             raise SolverError(
                 f"operation {op.uid} bound to {len(chosen)} devices"
             )
-        key = chosen[0]
+        key = keys[chosen[0]]
         if is_slot(key):
             device_uid = slot_devices[key[1]].uid
         else:

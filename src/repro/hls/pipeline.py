@@ -293,9 +293,10 @@ class LayerSolveStage:
     """Solve one layer: cache replay, else the scheduler backend.
 
     The scheduler backend is chosen by ``spec.scheduler`` (see
-    ``hls/backends.py``).  Layers of the ``greedy`` scheduler bypass the
-    cache (see ``hls/cache.py``): they are neither keyed, stored nor
-    replayed, so a greedy run leaves a given cache untouched.
+    ``hls/backends.py``).  Layers of a backend without
+    ``uses_solve_cache`` (``greedy``, ``lp-bound``) bypass the cache (see
+    ``hls/cache.py``): they are neither keyed, stored nor replayed, so
+    such a run leaves a given cache untouched.
     """
 
     name = "layer_solve"
@@ -310,7 +311,7 @@ class LayerSolveStage:
         sessions: "SessionPool | None" = None,
     ) -> LayerSolveResult:
         backend = create_scheduler(spec.scheduler)
-        if cache is None or spec.scheduler == "greedy":
+        if cache is None or not backend.uses_solve_cache:
             return backend.solve(
                 problem, spec, allocate_uid, warm_from, sessions=sessions
             )
@@ -349,8 +350,9 @@ class StoragePlanStage:
 class ConvergenceStage:
     """The paper's iteration rule plus full-cache-convergence early stop.
 
-    The early stop needs cache hits, so it never fires for greedy runs:
-    with a negative threshold they run ``max_iterations`` re-synthesis
+    The early stop needs cache hits, so it never fires for ``greedy`` or
+    ``lp-bound`` runs: with a negative threshold they run
+    ``max_iterations`` re-synthesis
     passes unless a pass worsens the makespan by the threshold or more.
     """
 

@@ -9,20 +9,18 @@ eager flow still rebuilt the full MILP from scratch each time.
 A :class:`SessionPool` keeps one :class:`LayerSession` per structural
 layer-problem fingerprint (:func:`repro.hls.cache.
 structural_fingerprint_layer_problem`).  On re-acquisition it asks
-:func:`repro.hls.milp_model.encode_layer_delta` for a
-:class:`repro.ilp.ModelDelta` that maps the changed problem onto the
-existing model; when the encoder can express the change, the delta is
-applied through the solver session (which re-extracts only the dirtied
-rows) instead of re-encoding thousands of rows.  When it cannot — the
-structure shifted in a way the fingerprint missed, or the spec changed —
-the pool falls back to a from-scratch build, so a session is never
-*required* for correctness, only for speed.
+:func:`repro.hls.milp_model.encode_layer_delta` for the changed problem's
+new numbers; when the encoder can express the change, they are written
+into the layer model's arrays (big-M coefficients, dependency and
+disjunction bounds, start-time upper bounds) instead of rebuilding the
+rows.  When it cannot — the structure shifted in a way the fingerprint
+missed, or the spec changed — the pool falls back to a from-scratch
+build, so a session is never *required* for correctness, only for speed.
 
-Determinism: a mutated session re-assembles the exact standard form a
-scratch build of the mutated problem produces (the csr assembly
-canonicalizes term order), so synthesis results are byte-identical with
-sessions on or off.  That identity is asserted by the incremental-smoke
-CI job and ``tests/test_solver_sessions.py``.
+Determinism: a patched model is array-for-array identical to a scratch
+build of the patched problem, so synthesis results are byte-identical
+with sessions on or off.  That identity is asserted by the
+incremental-smoke CI job and ``tests/test_solver_sessions.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ class SessionPool:
     """LRU pool of :class:`LayerSession` keyed by structural fingerprint.
 
     ``capacity`` bounds the live sessions (each holds a full MILP model
-    plus the solver's extracted rows); least-recently-acquired sessions
+    in array form); least-recently-acquired sessions
     are closed and evicted.  Counters expose how often re-acquisition
     managed a delta mutation (``reused``) versus a from-scratch rebuild
     (``rebuilt``).
@@ -75,16 +73,6 @@ class SessionPool:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "created": self.created,
-            "reused": self.reused,
-            "rebuilt": self.rebuilt,
-            "evictions": self.evictions,
-        }
 
     def _build(self, problem: LayerProblem, spec: SynthesisSpec) -> LayerSession:
         # Imported here so SciPy loads on the first solve, not with repro.
@@ -118,14 +106,9 @@ class SessionPool:
             # most-recently-used.
             self._entries.pop(key)
             self._entries[key] = session
-            encoded = encode_layer_delta(session.layer_model, problem, spec)
-            if encoded is not None:
-                delta, new_horizon = encoded
-                session.solver.apply(delta)
-                apply_layer_delta(
-                    session.layer_model, problem, delta, new_horizon,
-                    apply=False,
-                )
+            delta = encode_layer_delta(session.layer_model, problem, spec)
+            if delta is not None:
+                apply_layer_delta(session.layer_model, problem, delta)
                 self.reused += 1
                 return session
             # The fingerprint matched but the delta encoder declined

@@ -174,9 +174,9 @@ class SynthesisSpec:
     #: "ilp-highs" and "greedy" pin a single strategy).
     scheduler: str = "portfolio"
     #: keep per-layer solver sessions alive across re-synthesis passes and
-    #: mutate them with deltas instead of re-encoding from scratch.
-    #: Results are byte-identical either way (sessions rebuild the same
-    #: standard form); disable to force from-scratch encoding for A/B.
+    #: patch their arrays with deltas instead of re-encoding from scratch.
+    #: Results are byte-identical either way (a patched model equals the
+    #: scratch build); disable to force from-scratch encoding for A/B.
     enable_solver_sessions: bool = True
     #: storage synthesis mode (see :data:`STORAGE_MODES`).  ``off`` keeps
     #: every code path byte-identical to the storage-oblivious flow.

@@ -6,6 +6,8 @@ provides the equivalent functionality offline:
 * :mod:`repro.ilp.expr` / :mod:`repro.ilp.model` — an algebraic modeling
   layer: create variables, combine them into linear expressions with normal
   Python arithmetic, post ``<=``/``>=``/``==`` constraints, set an objective.
+* :class:`~repro.ilp.model.StandardForm` — the matrix form every solver
+  reads; a model exports one, and the layer ILP is built straight into one.
 * :mod:`repro.ilp.highs` — exact MILP solving through SciPy's HiGHS bindings
   (:func:`scipy.optimize.milp`), one-shot or through a persistent
   :class:`~repro.ilp.highs.HighsSession`; the only solver synthesis runs.
@@ -28,7 +30,7 @@ Typical use::
 """
 
 from .expr import LinExpr, Variable, VarType
-from .model import Constraint, Model, ModelDelta
+from .model import Constraint, Model, StandardForm
 from .relaxation import relaxation_bound, solve_relaxation
 from .status import Solution, SolveStats, SolveStatus, relative_gap
 
@@ -38,7 +40,7 @@ __all__ = [
     "VarType",
     "Constraint",
     "Model",
-    "ModelDelta",
+    "StandardForm",
     "Solution",
     "SolveStats",
     "SolveStatus",

@@ -131,28 +131,6 @@ class LinExpr:
                 raise ModelError(f"cannot sum term of type {type(item).__name__}")
         return LinExpr(terms, constant)
 
-    def copy(self) -> "LinExpr":
-        return LinExpr(dict(self.terms), self.constant)
-
-    # -- in-place mutation (delta encoding) --------------------------------
-
-    def set_term(self, var: Variable, coeff: Number) -> None:
-        """Set the coefficient of ``var`` in place.
-
-        A coefficient of exactly ``0.0`` keeps the term: the variable stays
-        referenced by the expression (so a later update can restore it) and
-        the standard-form export skips zero coefficients anyway.
-        """
-        if not isinstance(var, Variable):
-            raise ModelError(f"set_term expects a Variable, got {type(var).__name__}")
-        self.terms[var] = float(coeff)
-
-    def add_term(self, var: Variable, delta: Number) -> None:
-        """Add ``delta`` to the coefficient of ``var`` in place."""
-        if not isinstance(var, Variable):
-            raise ModelError(f"add_term expects a Variable, got {type(var).__name__}")
-        self.terms[var] = self.terms.get(var, 0.0) + float(delta)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other: "Variable | LinExpr | Number") -> "LinExpr":

@@ -7,12 +7,13 @@ reference the tests compare it against on small instances.
 
 Two entry points share one solve core:
 
-* :func:`solve_highs` — one-shot: export the model to standard form, solve.
-* :class:`HighsSession` — persistent: cache the extracted rows and, between
-  solves, re-extract only the rows dirtied by model mutations (consuming
-  the model's mutation log).  The assembled standard form is identical to a
-  fresh ``to_standard_form()`` export, so session solves are byte-identical
-  to one-shot solves of the same model state.
+* :func:`solve_highs` — one-shot: solve a :class:`~repro.ilp.model.Model`
+  (exported to standard form; values keyed by its variables) or a
+  :class:`~repro.ilp.model.StandardForm` as it stands (values are the
+  column vector).
+* :class:`HighsSession` — persistent: attached to one standard form whose
+  arrays the caller patches in place between solves; every solve hands
+  HiGHS the current arrays.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
+from scipy import optimize
 
 from ..errors import SolverError
-from .expr import VarType
-from .model import Constraint, Model, ModelDelta, StandardForm
+from .model import Model, StandardForm
 from .status import Solution, SolveStats, SolveStatus, relative_gap
 
 
@@ -35,7 +34,11 @@ def _solve_form(
     time_limit: float | None = None,
     mip_gap: float | None = None,
 ) -> Solution:
-    """Solve a standard-form model with ``scipy.optimize.milp`` (HiGHS)."""
+    """Solve a standard-form model with ``scipy.optimize.milp`` (HiGHS).
+
+    The solution's ``values`` is the column vector, integral columns
+    rounded.
+    """
     start = time.monotonic()
     options: dict[str, float | bool] = {"disp": False}
     if time_limit is not None:
@@ -44,14 +47,17 @@ def _solve_form(
         options["mip_rel_gap"] = float(mip_gap)
 
     constraints = None
-    if form.a_matrix.shape[0]:
-        constraints = LinearConstraint(form.a_matrix, form.row_lower, form.row_upper)
+    if form.num_constraints:
+        constraints = optimize.LinearConstraint(
+            form.a_matrix, form.row_lower, form.row_upper
+        )
 
-    result = milp(
+    # Looked up on the module at call time, so a patched milp sees it.
+    result = optimize.milp(
         c=form.c,
         constraints=constraints,
         integrality=form.integrality,
-        bounds=Bounds(form.var_lower, form.var_upper),
+        bounds=optimize.Bounds(form.var_lower, form.var_upper),
         options=options,
     )
     runtime = time.monotonic() - start
@@ -81,8 +87,7 @@ def _solve_form(
     x = np.asarray(result.x, dtype=float)
     int_mask = form.integrality.astype(bool)
     x[int_mask] = np.round(x[int_mask])
-    values = {var: float(x[i]) for i, var in enumerate(form.variables)}
-    objective = form.sense * float(form.c @ x) + form.c0
+    objective = form.objective_value(x)
     bound = None
     dual = getattr(result, "mip_dual_bound", None)
     if dual is not None and math.isfinite(dual):
@@ -103,7 +108,7 @@ def _solve_form(
     return Solution(
         status=status,
         objective=objective,
-        values=values,
+        values=x,
         bound=bound,
         runtime=runtime,
         backend="highs",
@@ -112,124 +117,43 @@ def _solve_form(
 
 
 def solve_highs(
-    model: Model,
+    model: Model | StandardForm,
     time_limit: float | None = None,
     mip_gap: float | None = None,
 ) -> Solution:
-    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS)."""
-    return _solve_form(model.to_standard_form(), time_limit, mip_gap)
+    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS).
 
-
-def _extract_row(con: Constraint) -> tuple[list[int], list[float]]:
-    cols: list[int] = []
-    vals: list[float] = []
-    for var, coeff in con.expr.terms.items():
-        if coeff != 0.0:
-            cols.append(var.index)
-            vals.append(coeff)
-    return cols, vals
+    A :class:`Model`'s solution maps its variables to values; a
+    :class:`StandardForm`'s keeps the column vector.
+    """
+    if isinstance(model, StandardForm):
+        return _solve_form(model, time_limit, mip_gap)
+    form = model.to_standard_form()
+    solution = _solve_form(form, time_limit, mip_gap)
+    if solution.status.has_solution:
+        solution.values = dict(zip(form.variables, solution.values.tolist()))
+    return solution
 
 
 class HighsSession:
-    """A persistent HiGHS solve attached to one mutable model.
+    """A persistent HiGHS solve attached to one standard form.
 
-    The session extracts every constraint row once at attach time; between
-    solves it consumes the model's mutation log and re-extracts only the
-    dirtied rows.  Variable bounds, integrality, and the objective vector
-    are cheap (O(num variables)) and rebuilt per solve.
+    The owner patches the form's arrays in place between solves (see
+    :func:`repro.hls.milp_model.apply_layer_delta`); each solve wraps the
+    current arrays, so a patched session solves exactly what a scratch
+    build of the patched problem would hand HiGHS.
     """
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self._cons: list[Constraint] = []
-        self._rows: list[tuple[list[int], list[float]]] = []
-        self._pos: dict[int, int] = {}
-        self._extract_all()
-        self._cursor = len(model._log)
-
-    def _extract_all(self) -> None:
-        self._cons = list(self.model.constraints)
-        self._rows = [_extract_row(con) for con in self._cons]
-        self._pos = {id(con): i for i, con in enumerate(self._cons)}
-
-    def apply(self, delta: ModelDelta) -> None:
-        """Apply a delta to the attached model (synced lazily at solve)."""
-        delta.apply_to(self.model)
-
-    def _sync(self) -> None:
-        log = self.model._log
-        for entry in log[self._cursor:]:
-            kind = entry[0]
-            if kind == "add_con":
-                con = entry[1]
-                self._pos[id(con)] = len(self._cons)
-                self._cons.append(con)
-                self._rows.append(_extract_row(con))
-            elif kind == "row":
-                con = entry[1]
-                self._rows[self._pos[id(con)]] = _extract_row(con)
-            # "add_var" / "var" / "obj" entries need no row work: variable
-            # bounds, integrality, and the objective are rebuilt per solve.
-        self._cursor = len(log)
-
-    def _form(self, relax_integrality: bool = False) -> StandardForm:
-        self._sync()
-        model = self.model
-        n = len(model.variables)
-        sign = 1 if model.sense == "min" else -1
-
-        c = np.zeros(n)
-        for var, coeff in model.objective.terms.items():
-            c[var.index] = sign * coeff
-
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        row_lower = np.empty(len(self._cons))
-        row_upper = np.empty(len(self._cons))
-        for r, con in enumerate(self._cons):
-            rcols, rvals = self._rows[r]
-            rows.extend([r] * len(rcols))
-            cols.extend(rcols)
-            data.extend(rvals)
-            if con.sense == "<=":
-                row_lower[r], row_upper[r] = -np.inf, con.rhs
-            elif con.sense == ">=":
-                row_lower[r], row_upper[r] = con.rhs, np.inf
-            else:
-                row_lower[r] = row_upper[r] = con.rhs
-
-        a_matrix = csr_matrix((data, (rows, cols)), shape=(len(self._cons), n))
-        var_lower = np.array([v.lb for v in model.variables], dtype=float)
-        var_upper = np.array([v.ub for v in model.variables], dtype=float)
-        if relax_integrality:
-            integrality = np.zeros(n, dtype=int)
-        else:
-            integrality = np.array(
-                [0 if v.vtype is VarType.CONTINUOUS else 1 for v in model.variables]
-            )
-        return StandardForm(
-            c=c,
-            a_matrix=a_matrix,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            var_lower=var_lower,
-            var_upper=var_upper,
-            integrality=integrality,
-            variables=list(model.variables),
-            sense=sign,
-            c0=model.objective.constant,
-        )
+    def __init__(self, form: StandardForm) -> None:
+        self.form = form
 
     def solve(
         self,
         time_limit: float | None = None,
         mip_gap: float | None = None,
     ) -> Solution:
-        """Solve the model in its current state."""
-        return _solve_form(self._form(), time_limit, mip_gap)
+        """Solve the form in its current state."""
+        return _solve_form(self.form, time_limit, mip_gap)
 
     def close(self) -> None:
-        self._cons = []
-        self._rows = []
-        self._pos = {}
+        self.form = None

@@ -12,7 +12,7 @@ standard matrix form consumed by the solver backends::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,19 +62,92 @@ class Constraint:
 
 @dataclass
 class StandardForm:
-    """Matrix form of a model (see module docstring)."""
+    """Matrix form of a model (see module docstring).
+
+    The constraint matrix is kept as canonical CSR arrays (rows in order,
+    column indices sorted within a row, no explicit zeros); SciPy wraps
+    them only when a solver asks for :attr:`a_matrix`.  A form is either
+    exported by :meth:`Model.to_standard_form` (``variables`` holds the
+    model's :class:`Variable` objects) or built straight into arrays, as
+    the layer ILP is (``variables`` holds column names).
+    """
 
     c: np.ndarray
-    a_matrix: "csr_matrix"
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
     var_lower: np.ndarray
     var_upper: np.ndarray
     integrality: np.ndarray  # 1 where the variable must be integral
-    variables: list[Variable]
-    sense: int  # +1 minimize, -1 maximize (c is already negated for max)
+    #: column labels: Variables of an exported model, or column names.
+    variables: list
+    #: row names ("" for an unnamed row).
+    constraints: list[str]
+    sense: int = 1  # +1 minimize, -1 maximize (c is already negated for max)
     #: constant term of the objective (added back, unsigned, by backends).
     c0: float = 0.0
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.c)
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.row_lower)
+
+    @property
+    def a_matrix(self) -> "csr_matrix":
+        """The constraint matrix as a SciPy CSR matrix over the arrays."""
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix(
+            (self.data, self.indices, self.indptr),
+            shape=(self.num_constraints, self.num_variables),
+        )
+
+    def to_standard_form(self, relax_integrality: bool = False) -> "StandardForm":
+        """The form itself, or its LP relaxation (integrality zeroed)."""
+        if not relax_integrality:
+            return self
+        return replace(self, integrality=np.zeros_like(self.integrality))
+
+    def objective_value(self, x: np.ndarray) -> float:
+        """The (unsigned) objective of the column vector ``x``."""
+        return self.sense * float(self.c @ x) + self.c0
+
+    def check(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
+        """Describe every row, bound and integrality ``x`` violates."""
+        violations = []
+        rows = np.repeat(np.arange(self.num_constraints), np.diff(self.indptr))
+        lhs = np.bincount(
+            rows, weights=self.data * x[self.indices],
+            minlength=self.num_constraints,
+        )
+        bad = (lhs < self.row_lower - tol) | (lhs > self.row_upper + tol)
+        for r in np.flatnonzero(bad):
+            violations.append(
+                f"constraint {self.constraints[r] or r}: {lhs[r]:g} not in "
+                f"[{self.row_lower[r]:g}, {self.row_upper[r]:g}]"
+            )
+        outside = (x < self.var_lower - tol) | (x > self.var_upper + tol)
+        fractional = self.integrality.astype(bool) & (
+            np.abs(x - np.round(x)) > 1e-4
+        )
+        for i in np.flatnonzero(outside | fractional):
+            violations.append(f"variable {self.variables[i]}={x[i]:g} infeasible")
+        return violations
+
+    def solve(
+        self,
+        time_limit: float | None = None,
+        mip_gap: float | None = None,
+    ) -> Solution:
+        """Solve with HiGHS; the solution's ``values`` is the column vector."""
+        from . import highs
+
+        return highs.solve_highs(self, time_limit=time_limit, mip_gap=mip_gap)
 
 
 class Model:
@@ -99,19 +172,6 @@ class Model:
         self.constraints: list[Constraint] = []
         self.objective: LinExpr = LinExpr()
         self._names: set[str] = set()
-        #: monotone revision counter, bumped by every mutation (variable or
-        #: constraint added, coefficient/bound/objective updated).
-        self.revision: int = 0
-        # Append-only mutation log consumed by solver sessions; each session
-        # keeps its own cursor into this list.  Entries:
-        #   ("add_var", var) ("add_con", con) ("row", con)
-        #   ("var", var)     ("obj",)
-        self._log: list[tuple] = []
-        self._named: dict[str, Constraint] = {}
-
-    def _record(self, *entry) -> None:
-        self.revision += 1
-        self._log.append(entry)
 
     # -- variable creation ---------------------------------------------------
 
@@ -123,7 +183,6 @@ class Model:
         self._names.add(name)
         var = Variable(name, len(self.variables), vtype, lb, ub)
         self.variables.append(var)
-        self._record("add_var", var)
         return var
 
     def binary(self, name: str = "") -> Variable:
@@ -158,64 +217,7 @@ class Model:
         if name:
             constraint.name = name
         self.constraints.append(constraint)
-        if constraint.name:
-            # Names are not required to be unique; lookup returns the most
-            # recently added constraint with the name.
-            self._named[constraint.name] = constraint
-        self._record("add_con", constraint)
         return constraint
-
-    # -- mutation (delta encoding) ------------------------------------------
-
-    def constraint(self, name: str) -> Constraint:
-        """Look up a named constraint (the most recently added on duplicates)."""
-        con = self._named.get(name)
-        if con is None:
-            raise ModelError(f"no constraint named {name!r}")
-        return con
-
-    def set_rhs(self, name: str, rhs: Number) -> None:
-        """Update the right-hand side of a named constraint."""
-        con = self.constraint(name)
-        con.rhs = float(rhs)
-        self._record("row", con)
-
-    def set_coefficient(self, name: str, var: Variable, coeff: Number) -> None:
-        """Update ``var``'s coefficient in a named constraint."""
-        self._check_owned(var)
-        con = self.constraint(name)
-        con.expr.set_term(var, coeff)
-        self._record("row", con)
-
-    def set_variable_bounds(
-        self, var: Variable, lb: Number | None = None, ub: Number | None = None
-    ) -> None:
-        """Update a variable's bounds in place."""
-        self._check_owned(var)
-        new_lb = var.lb if lb is None else float(lb)
-        new_ub = var.ub if ub is None else float(ub)
-        if new_lb > new_ub:
-            raise ModelError(f"variable {var.name!r}: lb {new_lb} > ub {new_ub}")
-        var.lb = new_lb
-        var.ub = new_ub
-        self._record("var", var)
-
-    def set_objective_coefficient(self, var: Variable, coeff: Number) -> None:
-        """Update ``var``'s coefficient in the objective."""
-        self._check_owned(var)
-        self.objective.set_term(var, coeff)
-        self._record("obj")
-
-    def set_objective_constant(self, value: Number) -> None:
-        """Update the objective's constant term."""
-        self.objective.constant = float(value)
-        self._record("obj")
-
-    def _check_owned(self, var: Variable) -> None:
-        if not isinstance(var, Variable):
-            raise ModelError(f"expected a Variable, got {type(var).__name__}")
-        if var.index >= len(self.variables) or self.variables[var.index] is not var:
-            raise ModelError(f"foreign variable {var.name!r}")
 
     def minimize(self, expr: LinExpr | Variable | Number) -> None:
         self.sense = "min"
@@ -304,6 +306,7 @@ class Model:
             else:
                 row_lower[r] = row_upper[r] = con.rhs
 
+        # COO -> CSR canonicalizes: rows in order, columns sorted per row.
         a_matrix = csr_matrix(
             (data, (rows, cols)), shape=(len(self.constraints), n)
         )
@@ -317,13 +320,16 @@ class Model:
             )
         return StandardForm(
             c=c,
-            a_matrix=a_matrix,
+            indptr=a_matrix.indptr,
+            indices=a_matrix.indices,
+            data=a_matrix.data,
             row_lower=row_lower,
             row_upper=row_upper,
             var_lower=var_lower,
             var_upper=var_upper,
             integrality=integrality,
             variables=list(self.variables),
+            constraints=[con.name for con in self.constraints],
             sense=sign,
             c0=self.objective.constant,
         )
@@ -347,63 +353,3 @@ class Model:
             f"Model({self.name!r}, vars={self.num_variables}, "
             f"cons={self.num_constraints}, sense={self.sense})"
         )
-
-
-class ModelDelta:
-    """A recorded batch of model mutations.
-
-    Deltas are built by an encoder (e.g. ``encode_layer_delta``) without a
-    model in hand and applied later — either directly via :meth:`apply_to`
-    or through :meth:`HighsSession.apply <repro.ilp.highs.HighsSession>`,
-    which lets the session re-extract only the dirtied rows.
-    """
-
-    def __init__(self) -> None:
-        self._ops: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    @property
-    def empty(self) -> bool:
-        return not self._ops
-
-    def add(self, constraint: Constraint, name: str = "") -> None:
-        self._ops.append(("add", constraint, name))
-
-    def set_rhs(self, name: str, rhs: Number) -> None:
-        self._ops.append(("rhs", name, rhs))
-
-    def set_coefficient(self, name: str, var: Variable, coeff: Number) -> None:
-        self._ops.append(("coeff", name, var, coeff))
-
-    def set_variable_bounds(
-        self, var: Variable, lb: Number | None = None, ub: Number | None = None
-    ) -> None:
-        self._ops.append(("bounds", var, lb, ub))
-
-    def set_objective_coefficient(self, var: Variable, coeff: Number) -> None:
-        self._ops.append(("obj_coeff", var, coeff))
-
-    def set_objective_constant(self, value: Number) -> None:
-        self._ops.append(("obj_const", value))
-
-    def apply_to(self, model: Model) -> None:
-        """Replay the recorded mutations onto ``model`` in order."""
-        for op in self._ops:
-            kind = op[0]
-            if kind == "add":
-                model.add(op[1], name=op[2])
-            elif kind == "rhs":
-                model.set_rhs(op[1], op[2])
-            elif kind == "coeff":
-                model.set_coefficient(op[1], op[2], op[3])
-            elif kind == "bounds":
-                model.set_variable_bounds(op[1], lb=op[2], ub=op[3])
-            elif kind == "obj_coeff":
-                model.set_objective_coefficient(op[1], op[2])
-            else:
-                model.set_objective_constant(op[1])
-
-    def __repr__(self) -> str:
-        return f"ModelDelta(ops={len(self._ops)})"

@@ -14,64 +14,47 @@ bound attached.
 from __future__ import annotations
 
 import math
-import time
-
-import numpy as np
 
 from ..errors import SolverError
-from .model import Model
+from .model import Model, StandardForm
 from .status import Solution, SolveStats, SolveStatus
 
 
-def solve_relaxation(model: Model, time_limit: float | None = None) -> Solution:
+def solve_relaxation(
+    model: Model | StandardForm, time_limit: float | None = None
+) -> Solution:
     """Solve the LP relaxation of ``model`` with HiGHS.
 
     Returns a :class:`Solution` whose ``values`` are the (generally
-    fractional) LP optimum and whose ``bound`` equals ``objective`` when
-    the solve proved optimality — that number is a certified lower bound
-    on the integer model's objective.  ``time_limit`` caps the solve.
+    fractional) LP optimum — keyed by variable for a :class:`Model`, the
+    column vector for a :class:`StandardForm` — and whose ``bound`` equals
+    ``objective`` when the solve proved optimality — that number is a
+    certified lower bound on the integer model's objective.
+    ``time_limit`` caps the solve.
     """
     # Imported here so SciPy loads on the first solve, not with repro.
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from .highs import _solve_form
 
-    start = time.monotonic()
     form = model.to_standard_form(relax_integrality=True)
-    options: dict[str, float | bool] = {"disp": False}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    constraints = None
-    if form.a_matrix.shape[0]:
-        constraints = LinearConstraint(form.a_matrix, form.row_lower, form.row_upper)
-    result = milp(
-        c=form.c,
-        constraints=constraints,
-        integrality=form.integrality,
-        bounds=Bounds(form.var_lower, form.var_upper),
-        options=options,
-    )
-    runtime = time.monotonic() - start
-    if result.status == 2:
-        return _lp_solution(SolveStatus.INFEASIBLE, runtime)
-    if result.status == 3:
-        return _lp_solution(SolveStatus.UNBOUNDED, runtime)
-    if result.x is None or result.status != 0:
+    solved = _solve_form(form, time_limit)
+    if solved.status is not SolveStatus.OPTIMAL:
         # A limit-hit LP has a primal value but no optimality proof — it
         # certifies nothing, so no bound is reported.
-        if result.status == 1 or result.x is not None:
-            return _lp_solution(SolveStatus.TIMEOUT, runtime)
-        raise SolverError(
-            f"HiGHS LP relaxation failed: status={result.status} {result.message}"
-        )
-    x = np.asarray(result.x, dtype=float)
-    objective = form.sense * float(form.c @ x) + form.c0
-    values = {var: float(x[i]) for i, var in enumerate(form.variables)}
+        status = solved.status
+        if status is SolveStatus.FEASIBLE:
+            status = SolveStatus.TIMEOUT
+        return _lp_solution(status, solved.runtime)
+    values = solved.values
+    if isinstance(model, Model):
+        values = dict(zip(form.variables, values.tolist()))
     return _lp_solution(
-        SolveStatus.OPTIMAL, runtime, objective=objective, values=values
+        SolveStatus.OPTIMAL, solved.runtime, objective=solved.objective,
+        values=values,
     )
 
 
 def relaxation_bound(
-    model: Model, time_limit: float | None = None
+    model: Model | StandardForm, time_limit: float | None = None
 ) -> Solution | None:
     """Solve the LP relaxation; the optimum certifies a lower bound.
 
@@ -94,7 +77,7 @@ def _lp_solution(
     status: SolveStatus,
     runtime: float,
     objective: float | None = None,
-    values: dict | None = None,
+    values=None,
 ) -> Solution:
     bound = None
     if status is SolveStatus.OPTIMAL and objective is not None:
@@ -103,7 +86,7 @@ def _lp_solution(
     return Solution(
         status=status,
         objective=objective,
-        values=values or {},
+        values={} if values is None else values,
         bound=bound,
         runtime=runtime,
         backend="lp-highs",

@@ -5,8 +5,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from .expr import LinExpr, Variable
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def relative_gap(objective: float | None, bound: float | None) -> float | None:
@@ -111,12 +115,14 @@ class Solution:
     """A (possibly partial) solve result.
 
     ``values`` maps every model variable to its value when
-    ``status.has_solution`` is true; it is empty otherwise.
+    ``status.has_solution`` is true, and is empty otherwise.  For a model
+    solved in array form (:class:`~repro.ilp.model.StandardForm`) it is the
+    column vector, indexed by column.
     """
 
     status: SolveStatus
     objective: float | None = None
-    values: dict[Variable, float] = field(default_factory=dict)
+    values: "dict[Variable, float] | np.ndarray" = field(default_factory=dict)
     #: Proven lower bound on the (minimization) objective, if available.
     bound: float | None = None
     #: Wall-clock seconds spent in the backend.
@@ -139,5 +145,6 @@ class Solution:
         raw = self.values[key]
         rounded = round(raw)
         if abs(raw - rounded) > max(tol, 1e-4):
-            raise ValueError(f"{key.name} = {raw} is not integral")
+            label = getattr(key, "name", key)
+            raise ValueError(f"{label} = {raw} is not integral")
         return int(rounded)

@@ -123,8 +123,17 @@ class CircuitBreaker:
             return self.HALF_OPEN
         return self.OPEN
 
+    def admits(self) -> bool:
+        """Whether :meth:`allow` would let a request out now, without
+        claiming the half-open probe."""
+        state = self.state
+        return state == self.CLOSED or (
+            state == self.HALF_OPEN and not self._probing
+        )
+
     def allow(self) -> bool:
-        """Whether a request may go out now.
+        """Whether a request may go out now; call it only for a request
+        that is sent.
 
         In the half-open state exactly one in-flight probe is admitted;
         further requests fail fast until the probe reports back.
@@ -147,6 +156,16 @@ class CircuitBreaker:
         self._failures += 1
         if self._failures >= self.threshold:
             self._opened_at = self._clock()
+
+
+def _circuit_open(replicas: "list[ServiceClient]") -> CircuitOpenError:
+    return CircuitOpenError(
+        f"circuit open for "
+        f"{', '.join(replica.address for replica in replicas)} "
+        f"(cooling down after consecutive failures)"
+    ).with_context(
+        replicas=len(replicas), breaker=replicas[0].breaker.state,
+    )
 
 
 class HedgePolicy:
@@ -405,17 +424,14 @@ class ServiceClient:
         targets = self._route(method, path)
         attempt = 0
         while True:
+            # Probes are claimed per replica actually contacted: a race
+            # sends to at most two, and a half-open replica whose probe
+            # was claimed but never sent would be refused for good.
             admitted = [
-                replica for replica in targets if replica.breaker.allow()
+                replica for replica in targets if replica.breaker.admits()
             ]
             if not admitted:
-                raise CircuitOpenError(
-                    f"circuit open for "
-                    f"{', '.join(replica.address for replica in targets)} "
-                    f"(cooling down after consecutive failures)"
-                ).with_context(
-                    replicas=len(targets), breaker=targets[0].breaker.state,
-                )
+                raise _circuit_open(targets)
             try:
                 if len(targets) == 1:
                     winner = admitted[0]
@@ -459,6 +475,8 @@ class ServiceClient:
         payload: bytes | None,
     ) -> dict[str, Any]:
         """One attempt on one replica, inline on the caller's thread."""
+        if not replica.breaker.allow():
+            raise _circuit_open([replica])
         try:
             data = replica._attempt(method, path, payload)
         except ServiceError as exc:
@@ -501,7 +519,10 @@ class ServiceClient:
                 except ServiceError as exc:
                     results.put((index, exc))
 
-            threading.Thread(target=run, daemon=True).start()
+            if order[index].breaker.allow():
+                threading.Thread(target=run, daemon=True).start()
+            else:  # another caller of this client holds the probe
+                results.put((index, _circuit_open([order[index]])))
 
         started = hedge.clock()
         launch()
@@ -528,7 +549,8 @@ class ServiceClient:
                 for cancel in cancels:
                     cancel()
                 return value, replica
-            self._record(replica, value)
+            if not isinstance(value, CircuitOpenError):
+                self._record(replica, value)
             if not self._retryable(value):
                 # An authoritative 4xx answer — the request itself is
                 # wrong on every replica; cancel the race and raise.

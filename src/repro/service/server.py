@@ -51,7 +51,7 @@ from .lease import FleetCoordinator
 from .metrics import ServiceMetrics
 from .queue import Job, JobQueue, JobStatus
 from .store import ResultStore
-from .worker import _DEBUG_CRASH, run_job
+from .worker import _DEBUG_CRASH, exit_with_parent, run_job
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -351,7 +351,9 @@ class SynthesisServer:
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers
+                max_workers=self.config.workers,
+                initializer=exit_with_parent,
+                initargs=(os.getpid(),),
             )
         return self._pool
 

@@ -7,14 +7,52 @@ tuple, and *all* expected failures travel as data — a worker never lets a
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import signal
+import sys
+import threading
+import time
 from typing import Any
 
 from ..errors import ReproError
 
 #: Request key enabling the crash hook below.
 _DEBUG_CRASH = "debug-crash"
+
+
+#: ``prctl`` option asking the kernel for a signal on the parent's death.
+_PR_SET_PDEATHSIG = 1
+
+
+def exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: end this worker when the server dies.
+
+    A SIGKILLed server cannot shut its pool down, and a worker blocked on
+    its call queue would otherwise live on, re-parented to init.  On
+    Linux the kernel sends the worker SIGKILL when its parent dies
+    (``prctl(PR_SET_PDEATHSIG)``); elsewhere a daemon thread polls
+    ``getppid``.  ``parent`` is the server's pid, checked once armed in
+    case the server died before the worker got here.
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            libc = ctypes.CDLL(None, use_errno=True)
+            armed = libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0
+        except (OSError, AttributeError):
+            armed = False
+        if armed:
+            if os.getppid() != parent:
+                os._exit(1)
+            return
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _certificate(value: "float | None") -> "float | None":

@@ -90,7 +90,7 @@ class TestModelInternals:
         layer_model = build_layer_model(
             tiny_problem(slots=3), SynthesisSpec(max_devices=3, time_limit=5)
         )
-        names = {c.name for c in layer_model.model.constraints}
+        names = set(layer_model.model.constraints)
         assert "slot_order[1]" in names
         assert "slot_order[2]" in names
 

@@ -515,3 +515,55 @@ def test_greedy_run_leaves_a_warm_cache_untouched():
     assert result_to_json(warm, deterministic=True) == result_to_json(
         off, deterministic=True
     )
+
+
+def test_lp_bound_replay_equals_fresh_solve_under_renamed_devices():
+    """Rename probe: the same layer with its fixed devices' uids in reverse
+    order.  The cache key names fixed devices by position, so both
+    problems share one key, while the greedy schedule ``lp-bound`` returns
+    breaks ties on raw uids.  ``lp-bound`` layers therefore bypass the
+    cache, and the second solve equals a fresh one."""
+    import itertools
+
+    from repro.components import Capacity, ContainerKind
+    from repro.devices import GeneralDevice
+    from repro.hls.pipeline import LayerSolveStage
+    from repro.operations import Fixed, Operation
+
+    def problem(uids):
+        ops = [
+            Operation(f"o{i}", Fixed(3 + i), capacity=Capacity.SMALL)
+            for i in range(2)
+        ]
+        return LayerProblem(
+            layer_index=0,
+            ops=ops,
+            in_layer_edges=[],
+            edge_transport={},
+            release={op.uid: 0 for op in ops},
+            fixed_devices=[
+                GeneralDevice(uid, ContainerKind.CHAMBER, Capacity.SMALL)
+                for uid in uids
+            ],
+            free_slots=0,
+        )
+
+    uids = ["k0", "k1", "k2"]
+    spec = SynthesisSpec(max_devices=3, scheduler="lp-bound", time_limit=5)
+    counter = itertools.count()
+
+    def allocate():
+        return f"n{next(counter)}"
+
+    cache = LayerSolveCache()
+    stage = LayerSolveStage()
+    stage.solve(problem(uids), spec, allocate, cache=cache)
+    renamed = problem(list(reversed(uids)))
+    assert fingerprint_layer_problem(
+        renamed, spec
+    ) == fingerprint_layer_problem(problem(uids), spec)
+    second = stage.solve(renamed, spec, allocate, cache=cache)
+    fresh = stage.solve(renamed, spec, allocate)
+    assert second.binding == fresh.binding
+    assert second.schedule.placements == fresh.schedule.placements
+    assert len(cache) == 0

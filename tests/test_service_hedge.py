@@ -245,6 +245,35 @@ class TestFleetHedging:
         assert fast.requests == []
 
 
+    def test_race_claims_probes_only_of_replicas_it_contacts(self, replicas):
+        """Both breakers half-open: the primary answers before the hedge
+        fires, so the second replica is never contacted and its probe must
+        stay unclaimed (it was claimed up front and leaked, refusing that
+        replica for the client's lifetime)."""
+        now = [0.0]
+        primary = replicas("primary")
+        second = replicas("second")
+        fleet = fleet_client(
+            [primary.port, second.port],
+            hedge=HedgePolicy(delay=30.0),
+            retry=RetryPolicy(retries=0, seed=0),
+        )
+        for replica in fleet.replicas:
+            replica.breaker = CircuitBreaker(
+                threshold=1, cooldown=10.0, clock=lambda: now[0]
+            )
+            replica.breaker.record_failure()
+        now[0] = 11.0
+        assert [r.breaker.state for r in fleet.replicas] == ["half-open"] * 2
+        handle = fleet.submit({"format": 1})
+        assert handle.id == "job-primary"
+        assert second.requests == []
+        assert fleet.replicas[0].breaker.state == "closed"
+        # The untouched replica still admits its one half-open probe.
+        assert fleet.replicas[1].breaker.allow()
+        assert not fleet.replicas[1].breaker.allow()
+
+
 class TestFleetPins:
     """The job-id -> replica pin table is bounded and loud on misses."""
 

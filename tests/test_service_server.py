@@ -5,7 +5,14 @@ real process pool; the typed client talks to it over HTTP.  Kept fast by
 solving only the small fixture assays under tight specs.
 """
 
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +20,7 @@ from repro.errors import ServiceError
 from repro.hls import SynthesisSpec, synthesize
 from repro.io import json_result_equal
 from repro.io.json_io import assay_to_json, result_to_json
+from repro.operations import AssayBuilder
 from repro.service import ServerConfig, ServiceClient, run_server
 
 
@@ -184,3 +192,72 @@ class TestClientParsing:
         handle = client.submit(assay_to_json(linear_assay))
         handle = client.wait(handle.id, deadline=120.0)
         assert handle.status == "done"
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+def test_sigkilled_server_takes_its_pool_worker_along(tmp_path):
+    """A SIGKILLed server cannot shut its pool down; its worker must
+    still exit within seconds instead of living on under init."""
+    root = Path(__file__).resolve().parent.parent
+    log = tmp_path / "serve.log"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with open(log, "w") as out:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "1"],
+            stdout=out, stderr=subprocess.STDOUT, env=env, cwd=root,
+        )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        match = None
+        while match is None and time.monotonic() < deadline:
+            match = re.search(r"listening on [\d.]+:(\d+)", log.read_text())
+            time.sleep(0.1)
+        assert match, log.read_text()
+        client = ServiceClient(port=int(match.group(1)), timeout=60.0)
+        b = AssayBuilder("one")
+        b.op("mix", 3, container="chamber")
+        client.synthesize(b.build(), service_spec())
+        workers = _children(server.pid)
+        assert len(workers) == 1
+        server.kill()
+        server.wait(10)
+        deadline = time.monotonic() + 5
+        while _running(workers[0]) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(workers[0])
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(10)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

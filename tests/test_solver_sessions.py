@@ -1,12 +1,11 @@
-"""Incremental-ILP tests: model mutation, solver sessions and layer deltas
-(repro.ilp.model / repro.hls.session / repro.hls.milp_model)."""
+"""Incremental-ILP tests: solver sessions over array-form models and layer
+deltas (repro.ilp.highs / repro.hls.session / repro.hls.milp_model)."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.hls import SessionPool, SynthesisSpec
 from repro.hls.backends import _run_layer_solve
 from repro.hls.cache import structural_fingerprint_layer_problem
@@ -16,11 +15,16 @@ from repro.hls.milp_model import (
     build_layer_model,
     encode_layer_delta,
 )
-from repro.ilp import Model, ModelDelta, SolveStatus
+from repro.ilp import Model, SolveStatus
 from repro.ilp.bnb import solve_bnb
 from repro.ilp.highs import HighsSession, solve_highs
 
 COUNTER = itertools.count()
+
+FORM_ARRAYS = (
+    "c", "indptr", "indices", "data", "row_lower", "row_upper",
+    "var_lower", "var_upper", "integrality",
+)
 
 
 def fresh_uid():
@@ -29,26 +33,19 @@ def fresh_uid():
 
 def forms_equal(a, b):
     """Byte-identical standard forms (same rows, bounds, objective)."""
-    if [v.name for v in a.variables] != [v.name for v in b.variables]:
-        return False
-    if a.a_matrix.shape != b.a_matrix.shape:
-        return False
-    dense_a, dense_b = a.a_matrix.toarray(), b.a_matrix.toarray()
     return (
-        np.array_equal(dense_a, dense_b)
-        and np.array_equal(a.c, b.c)
-        and np.array_equal(a.row_lower, b.row_lower)
-        and np.array_equal(a.row_upper, b.row_upper)
-        and np.array_equal(a.var_lower, b.var_lower)
-        and np.array_equal(a.var_upper, b.var_upper)
-        and np.array_equal(a.integrality, b.integrality)
+        all(
+            getattr(a, name).dtype == getattr(b, name).dtype
+            and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            for name in FORM_ARRAYS
+        )
         and a.sense == b.sense
         and a.c0 == b.c0
     )
 
 
 # ---------------------------------------------------------------------------
-# Model mutation API
+# Array patches on plain ILP models
 # ---------------------------------------------------------------------------
 
 
@@ -61,99 +58,39 @@ class TestModelMutation:
         m.minimize(3 * x + 2 * y)
         return m, x, y
 
-    def test_revision_strictly_monotonic(self):
-        m, x, y = self.build()
-        seen = [m.revision]
-        m.set_rhs("cover", 5)
-        seen.append(m.revision)
-        m.set_coefficient("cover", x, 2.0)
-        seen.append(m.revision)
-        m.set_variable_bounds(x, ub=8)
-        seen.append(m.revision)
-        m.set_objective_coefficient(y, 5.0)
-        seen.append(m.revision)
-        m.set_objective_constant(7.0)
-        seen.append(m.revision)
-        m.add(x - y <= 3, name="extra")
-        seen.append(m.revision)
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)
-
-    def test_unknown_constraint_lookup_raises(self):
-        m, _, _ = self.build()
-        with pytest.raises(ModelError):
-            m.constraint("nope")
-
-    def test_duplicate_names_resolve_to_most_recent(self):
-        # The layer model emits duplicate-named rows (path_in/path_out with
-        # several cross-layer parents); the named index must not reject
-        # them, and mutation addresses the most recently added row.
-        m = Model()
-        x = m.binary("x")
-        first = m.add(x <= 1, name="dup")
-        second = m.add(x >= 0, name="dup")
-        assert m.constraint("dup") is second
-        assert first in m.constraints
-
     def test_set_rhs_and_coefficient_reach_standard_form(self):
-        m, x, y = self.build()
-        m.set_rhs("cover", 6)
-        m.set_coefficient("cover", x, 3.0)
+        m, x, _ = self.build()
+        form = m.to_standard_form()
+        # Row 0 is ``x + y >= 4``; x is column 0, the row's first entry.
+        form.row_lower[0] = 6.0
+        form.data[form.indptr[0] + x.index] = 3.0
         scratch = Model("scratch")
         sx = scratch.integer("x", lb=0, ub=10)
         sy = scratch.integer("y", lb=0, ub=10)
         scratch.add(3 * sx + sy >= 6, name="cover")
         scratch.minimize(3 * sx + 2 * sy)
-        assert forms_equal(m.to_standard_form(), scratch.to_standard_form())
-
-    def test_bounds_validation(self):
-        m, x, _ = self.build()
-        with pytest.raises(ModelError):
-            m.set_variable_bounds(x, lb=5, ub=3)
-
-    def test_foreign_variable_rejected(self):
-        m, x, _ = self.build()
-        other = Model()
-        z = other.binary("z")
-        with pytest.raises(ModelError):
-            m.set_objective_coefficient(z, 1.0)
-        with pytest.raises(ModelError):
-            m.set_coefficient("cover", z, 1.0)
-
-    def test_delta_batches_mutations(self):
-        m, x, y = self.build()
-        delta = ModelDelta()
-        assert delta.empty and len(delta) == 0
-        delta.set_rhs("cover", 6)
-        delta.set_variable_bounds(x, ub=7)
-        delta.set_objective_constant(1.5)
-        assert len(delta) == 3 and not delta.empty
-        before = m.revision
-        delta.apply_to(m)
-        assert m.revision == before + 3
-        solution = m.solve()
-        assert solution.status is SolveStatus.OPTIMAL
-        # min 3x+2y+1.5 s.t. x+y>=6 -> all y.
-        assert solution.objective == pytest.approx(13.5)
+        assert forms_equal(form, scratch.to_standard_form())
 
     def test_update_coefficient_on_presolved_away_variable(self):
         # HiGHS's presolve folds the singleton row on x into its bounds and
-        # can eliminate the variable from the reduced form; mutating that
+        # can eliminate the variable from the reduced form; patching that
         # coefficient afterwards must still re-solve correctly because the
-        # session re-extracts the dirtied row from the (mutated) model.
+        # session hands HiGHS the current arrays on every solve.
         m = Model("pre")
         x = m.integer("x", lb=0, ub=100)
         y = m.integer("y", lb=0, ub=100)
         m.add(2 * x <= 9, name="cap")  # singleton: folds to x <= 4
         m.add(x + y >= 6, name="cover")
         m.minimize(x + 3 * y)
-        session = HighsSession(m)
+        session = HighsSession(m.to_standard_form())
         first = session.solve()
         assert first.objective == pytest.approx(4 + 3 * 2)
-        m.set_coefficient("cap", x, 4.0)  # now x <= 2
+        session.form.data[session.form.indptr[0]] = 4.0  # now x <= 2
         second = session.solve()
         assert second.objective == pytest.approx(2 + 3 * 4)
-        assert solve_bnb(m).objective == pytest.approx(second.objective)
+        assert solve_bnb(session.form).objective == pytest.approx(
+            second.objective
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +122,7 @@ class TestSolverSessions:
         m, _ = self.knapsack()
         direct = solve(m)
         m2, _ = self.knapsack()
-        session = HighsSession(m2)
+        session = HighsSession(m2.to_standard_form())
         via_session = session.solve()
         assert via_session.objective == pytest.approx(direct.objective)
         session.close()
@@ -193,12 +130,10 @@ class TestSolverSessions:
     @SOLVERS
     def test_delta_resolve_matches_scratch(self, solve):
         m, xs = self.knapsack()
-        session = HighsSession(m)
+        session = HighsSession(m.to_standard_form())
         session.solve()
-        delta = ModelDelta()
-        delta.set_rhs("weight", 9)
-        delta.set_objective_coefficient(xs[0], 9.0)
-        session.apply(delta)
+        session.form.row_upper[0] = 9.0
+        session.form.c[xs[0].index] = -9.0  # maximize: c holds -value
         mutated = session.solve()
         scratch = Model("scratch")
         ys = [scratch.binary(f"x{i}") for i in range(4)]
@@ -212,13 +147,19 @@ class TestSolverSessions:
 
     def test_highs_session_form_identity_after_mutations(self):
         m, xs = self.knapsack()
-        session = HighsSession(m)
-        delta = ModelDelta()
-        delta.set_rhs("weight", 8)
-        delta.set_coefficient("weight", xs[2], 1.0)
-        delta.add(xs[0] + xs[1] <= 1, name="pick_one")
-        session.apply(delta)
-        assert forms_equal(session._form(), m.to_standard_form())
+        form = m.to_standard_form()
+        session = HighsSession(form)
+        session.form.row_upper[0] = 8.0
+        session.form.data[form.indptr[0] + xs[2].index] = 1.0
+        scratch, ys = self.knapsack()
+        scratch.constraints[0].rhs = 8.0
+        scratch.constraints[0].expr.terms[ys[2]] = 1.0
+        # The session solves the caller's arrays, never a private copy.
+        assert session.form is form
+        assert forms_equal(session.form, scratch.to_standard_form())
+        assert session.solve().objective == pytest.approx(
+            solve_highs(scratch).objective
+        )
         session.close()
 
 
@@ -262,16 +203,11 @@ class TestLayerDelta:
         spec = self.spec()
         layer_model = build_layer_model(layer_problem(transport=2), spec)
         changed = layer_problem(transport=4)
-        encoded = encode_layer_delta(layer_model, changed, spec)
-        assert encoded is not None
-        delta, horizon = encoded
-        assert not delta.empty
-        apply_layer_delta(layer_model, changed, delta, horizon)
+        delta = encode_layer_delta(layer_model, changed, spec)
+        assert delta is not None
+        apply_layer_delta(layer_model, changed, delta)
         scratch = build_layer_model(changed, spec)
-        assert forms_equal(
-            layer_model.model.to_standard_form(),
-            scratch.model.to_standard_form(),
-        )
+        assert forms_equal(layer_model.model, scratch.model)
         assert layer_model.problem is changed
         assert layer_model.horizon == scratch.horizon
 
@@ -285,10 +221,17 @@ class TestLayerDelta:
         spec = self.spec()
         problem = layer_problem()
         layer_model = build_layer_model(problem, spec)
-        encoded = encode_layer_delta(layer_model, layer_problem(), spec)
-        assert encoded is not None
-        delta, _ = encoded
-        assert delta.empty
+        before = {
+            name: getattr(layer_model.model, name).copy()
+            for name in FORM_ARRAYS
+        }
+        delta = encode_layer_delta(layer_model, layer_problem(), spec)
+        assert delta is not None
+        assert delta.horizon == layer_model.horizon
+        apply_layer_delta(layer_model, layer_problem(), delta)
+        # Same numbers: the patch rewrites every position with its value.
+        for name, array in before.items():
+            assert np.array_equal(getattr(layer_model.model, name), array)
 
     def test_pool_reuses_and_rebuilds(self):
         spec = self.spec()
@@ -311,6 +254,7 @@ class TestLayerDelta:
         pool.acquire(layer_problem(transport=2), spec)
         changed = layer_problem(transport=4)
         session = pool.acquire(changed, spec)
+        assert session.solver.form is session.layer_model.model
         via_session = _run_layer_solve(session.layer_model, session.solver, spec)
         scratch = build_layer_model(changed, spec)
         direct = scratch.model.solve(time_limit=spec.time_limit)

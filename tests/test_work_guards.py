@@ -7,6 +7,8 @@ timing.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.assays import gene_expression_assay, random_assay
 from repro.devices import GeneralDevice
 from repro.graphs import DiGraph
@@ -208,3 +210,55 @@ def test_eviction_scan_reads_an_index(monkeypatch):
     # 1,011 finds and 5,329 listings.
     assert finds[0] == 0
     assert listings[0] == 0
+
+
+def test_layer_model_work_builds_no_expression(monkeypatch):
+    from repro.hls.backends import schedule_layer_greedy
+    from repro.hls.decode import decode_layer_solution
+    from repro.hls.milp_model import build_layer_model, encode_layer_start
+    from repro.hls.session import SessionPool
+    from repro.ilp import LinExpr, Solution, SolveStatus
+
+    problems = []
+    solve = pipeline.LayerSolveStage.solve
+
+    def record(stage, problem, spec, *args, **kwargs):
+        problems.append((problem, spec))
+        return solve(stage, problem, spec, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.LayerSolveStage, "solve", record)
+    synthesize(
+        gene_expression_assay(cells=4),
+        SynthesisSpec(
+            max_devices=12, threshold=4, scheduler="greedy", max_iterations=1
+        ),
+    )
+    problem, spec = max(problems, key=lambda item: len(item[0].ops))
+    spec = dataclasses.replace(spec, scheduler="portfolio")
+    shifted = dataclasses.replace(
+        problem,
+        edge_transport={e: t + 1 for e, t in problem.edge_transport.items()},
+        release={
+            uid: r + 1 if r else 0 for uid, r in problem.release.items()
+        },
+    )
+    uids = (f"n{i}" for i in range(99))
+    greedy = schedule_layer_greedy(problem, spec, uids.__next__)
+    exprs = _counting(monkeypatch, LinExpr, "__init__")
+
+    layer_model = build_layer_model(problem, spec)
+    pool = SessionPool()
+    pool.acquire(problem, spec)
+    pool.acquire(shifted, spec)
+    assert pool.reused == 1
+    values = encode_layer_start(layer_model, greedy)
+    assert values is not None
+    decode_layer_solution(
+        layer_model,
+        Solution(status=SolveStatus.FEASIBLE, values=values),
+        uids.__next__,
+    )
+    # The layer ILP is emitted straight into arrays; through LinExpr the
+    # same build, delta and decode created 79,870 expressions.
+    assert layer_model.model.num_constraints > 1000
+    assert exprs[0] == 0
