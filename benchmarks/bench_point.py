@@ -4,12 +4,13 @@
     python3 benchmarks/bench_point.py --pr M --tree ../parent --commit <sha>
 
 Runs ``perfbench/run.py --trace 0`` of the checkout at ``--tree``
-(default: this one) ``--runs`` times per workload, the workloads
-interleaved so drift of the box spreads over all of them, run ``i`` on
-seed ``--seed + i``.  Writes the commit, the box (nproc, CPU model), the
-run count and, per workload, the median and interquartile range of every
-end-to-end metric, plus the failed share of operations.  Each change
-appends its point; EXPERIMENTS.md tabulates them.
+(default: this one) ``--runs`` times on each workload perfbench declares,
+the workloads interleaved so drift of the box spreads over all of them,
+run ``i`` on seed ``i``; perfbench sets the run length.  Writes the
+commit, the box (nproc, CPU model), the run count and, per workload, the
+median and interquartile range of every end-to-end metric, plus the
+failed share of operations.  Each change appends its point;
+EXPERIMENTS.md tabulates them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("ilp-resynth", "greedy-scale", "service-mix")
-
 
 def cpu_model() -> str:
     try:
@@ -38,7 +37,7 @@ def cpu_model() -> str:
 
 
 def commit_of(tree: Path) -> str:
-    """``HEAD`` of ``tree``, with ``+dirty`` when its files differ."""
+    """``HEAD`` of ``tree``, with ``+dirty`` when a tracked file differs."""
     head = subprocess.run(
         ["git", "-C", str(tree), "rev-parse", "HEAD"],
         capture_output=True, text=True,
@@ -46,18 +45,26 @@ def commit_of(tree: Path) -> str:
     if head.returncode != 0:
         return "unknown"
     status = subprocess.run(
-        ["git", "-C", str(tree), "status", "--porcelain", "--", "src",
-         "perfbench"],
+        ["git", "-C", str(tree), "status", "--porcelain",
+         "--untracked-files=no"],
         capture_output=True, text=True,
     )
     return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_workloads(tree: Path) -> tuple[str, ...]:
+    """The workloads the perfbench of ``tree`` declares."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    from run import WORKLOADS
+
+    return WORKLOADS
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``--trace 0`` run; the last stdout line is its JSON report."""
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     return json.loads(run.stdout.strip().splitlines()[-1])
@@ -75,35 +82,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--tree", type=Path, default=Path.cwd())
     parser.add_argument("--commit", default=None,
                         help="commit of --tree (default: git rev-parse)")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="default: BENCH_<pr>.json here")
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
 
-    reports: dict[str, list[dict]] = {w: [] for w in args.workloads}
+    tree = args.tree.resolve()
+    commit = args.commit or commit_of(tree)
+    workloads = perfbench_workloads(tree)
+    reports: dict[str, list[dict]] = {w: [] for w in workloads}
     started = time.time()
-    for i in range(args.runs):
-        for workload in args.workloads:
-            report = run_once(args.tree, workload, args.seed + i, args.seconds)
-            reports[workload].append(report)
-            print(f"run {i + 1}/{args.runs} {workload}: ok", flush=True)
+    for seed in range(args.runs):
+        for workload in workloads:
+            reports[workload].append(run_once(tree, workload, seed))
+            print(f"run {seed + 1}/{args.runs} {workload}: ok", flush=True)
 
     point = {
         "pr": args.pr,
-        "commit": args.commit or commit_of(args.tree),
+        "commit": commit,
         "nproc": os.cpu_count(),
         "cpu_model": cpu_model(),
         "runs": args.runs,
-        "seeds": [args.seed + i for i in range(args.runs)],
-        "seconds_per_run": args.seconds,
+        "seeds": list(range(args.runs)),
         "wall_s": round(time.time() - started, 1),
         "workloads": {},
     }
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
                 for name in metrics
             },
         }
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0

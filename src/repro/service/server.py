@@ -349,6 +349,9 @@ class SynthesisServer:
                     self.metrics.inc("journal_compactions")
 
     def _get_pool(self) -> ProcessPoolExecutor:
+        # Create and submit to the pool only from the server's loop
+        # thread: workers fork from the submitting thread and, armed by
+        # exit_with_parent, are killed when that thread exits.
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers,

@@ -31,10 +31,12 @@ def exit_with_parent(parent: int) -> None:
 
     A SIGKILLed server cannot shut its pool down, and a worker blocked on
     its call queue would otherwise live on, re-parented to init.  On
-    Linux the kernel sends the worker SIGKILL when its parent dies
-    (``prctl(PR_SET_PDEATHSIG)``); elsewhere a daemon thread polls
-    ``getppid``.  ``parent`` is the server's pid, checked once armed in
-    case the server died before the worker got here.
+    Linux the kernel sends the worker SIGKILL when the *thread* that
+    forked it exits (``prctl(PR_SET_PDEATHSIG)`` follows the forking
+    thread, not the process), so the pool must be submitted to only from
+    a thread that lives as long as the server; elsewhere a daemon thread
+    polls ``getppid``.  ``parent`` is the server's pid, checked once
+    armed in case the server died before the worker got here.
     """
     if sys.platform.startswith("linux"):
         try:
